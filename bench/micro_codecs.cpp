@@ -3,9 +3,10 @@
 // simulation rate.
 //
 // Extra flag: --codec_json=PATH writes a machine-readable speedup report
-// (one JSON object with per-format scalar/kernel throughput and the
-// single-thread speedup) before the google-benchmark run — the bench
-// trajectory and EXPERIMENTS.md consume it.
+// (one JSON object with per-format throughput of the scalar codec
+// reference, the LUT kernel's scalar loop and the dispatched vector variant,
+// plus the single-thread speedups) before the google-benchmark run — the
+// bench trajectory and EXPERIMENTS.md consume it.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -115,12 +116,19 @@ void BM_QuantizeBufferKernel(benchmark::State& state, const char* name) {
 
 // ------------------------------------------------- speedup report (JSON) --
 
+/// scalar: fake_quantize_scalar (the codec reference); kernel: the LUT
+/// kernel's scalar loop; vector: the variant fake_quantize dispatches to.
 struct CodecTiming {
   std::string format;
   double scalar_ns_per_elem = 0.0;
   double kernel_ns_per_elem = 0.0;
+  double vector_ns_per_elem = 0.0;
   [[nodiscard]] double speedup() const {
-    return kernel_ns_per_elem > 0.0 ? scalar_ns_per_elem / kernel_ns_per_elem
+    return vector_ns_per_elem > 0.0 ? scalar_ns_per_elem / vector_ns_per_elem
+                                    : 0.0;
+  }
+  [[nodiscard]] double vector_over_kernel() const {
+    return vector_ns_per_elem > 0.0 ? kernel_ns_per_elem / vector_ns_per_elem
                                     : 0.0;
   }
 };
@@ -156,11 +164,14 @@ int write_codec_json(const char* path) {
   constexpr std::size_t kElems = 1 << 16;
   constexpr int kPasses = 24;
   const std::vector<float> buf = random_floats(kElems);
+  namespace fk = formats::kernels;
+  const fk::FakeQuantVariant& scalar_loop = fk::fake_quant_variants().back();
+  const fk::FakeQuantVariant& vector_loop = fk::active_fake_quant_variant();
   std::vector<CodecTiming> rows;
   for (const std::string& name : core::all_format_names()) {
     const auto fmt = core::make_format(name);
     (void)fmt->codec();
-    (void)formats::kernels::kernel_for(*fmt);
+    const auto kernel = fk::kernel_for(*fmt);
     const double scale = ptq_scale(*fmt, buf);
     CodecTiming t;
     t.format = name;
@@ -169,6 +180,10 @@ int write_codec_json(const char* path) {
           formats::fake_quantize_scalar(c, *fmt, scale);
         });
     t.kernel_ns_per_elem =
+        time_ns_per_elem(buf, kPasses, [&](std::span<float> c) {
+          kernel->fake_quantize(scalar_loop, c, scale);
+        });
+    t.vector_ns_per_elem =
         time_ns_per_elem(buf, kPasses, [&](std::span<float> c) {
           formats::fake_quantize(c, *fmt, scale);
         });
@@ -180,22 +195,28 @@ int write_codec_json(const char* path) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_codecs/fake_quantize\",\n");
-  std::fprintf(f, "  \"elements\": %zu,\n  \"formats\": [\n", kElems);
+  std::fprintf(f, "  \"elements\": %zu,\n  \"vector_variant\": \"%s\",\n",
+               kElems, vector_loop.name);
+  std::fprintf(f, "  \"formats\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CodecTiming& t = rows[i];
     std::fprintf(f,
                  "    {\"format\": \"%s\", \"scalar_ns_per_elem\": %.3f, "
-                 "\"kernel_ns_per_elem\": %.3f, \"speedup\": %.2f}%s\n",
+                 "\"kernel_ns_per_elem\": %.3f, \"vector_ns_per_elem\": %.3f, "
+                 "\"speedup\": %.2f, \"vector_over_kernel\": %.2f}%s\n",
                  t.format.c_str(), t.scalar_ns_per_elem, t.kernel_ns_per_elem,
-                 t.speedup(), i + 1 < rows.size() ? "," : "");
+                 t.vector_ns_per_elem, t.speedup(), t.vector_over_kernel(),
+                 i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
-  std::printf("%-16s %14s %14s %9s\n", "format", "scalar ns/elem",
-              "kernel ns/elem", "speedup");
+  std::printf("vector variant: %s\n", vector_loop.name);
+  std::printf("%-16s %14s %14s %14s %9s %9s\n", "format", "scalar ns/elem",
+              "kernel ns/elem", "vector ns/elem", "speedup", "vec/kern");
   for (const CodecTiming& t : rows)
-    std::printf("%-16s %14.2f %14.2f %8.1fx\n", t.format.c_str(),
-                t.scalar_ns_per_elem, t.kernel_ns_per_elem, t.speedup());
+    std::printf("%-16s %14.2f %14.2f %14.2f %8.1fx %8.1fx\n", t.format.c_str(),
+                t.scalar_ns_per_elem, t.kernel_ns_per_elem,
+                t.vector_ns_per_elem, t.speedup(), t.vector_over_kernel());
   return 0;
 }
 

@@ -32,6 +32,10 @@ run_suite() {
   ctest --test-dir "${build_dir}" --output-on-failure -j "${JOBS}"
 }
 
+# The full stage: every ctest label, including the `slow` exhaustive
+# 2^32-pattern fake-quantize sweep (test_kernel_sweep: MERSIT(8,2), every
+# vector variant this host executes, against the Format::quantize
+# reference).
 run_suite build
 
 # SIMD backend self-check: the registry's CPUID detection must activate a
@@ -93,6 +97,13 @@ echo "==> hardware smoke (fig7_mac_area_power, fast sizing)"
 MERSIT_BENCH_FAST=1 ./build/bench/fig7_mac_area_power --json=build/BENCH_fig7.json
 ./build/bench/fig7_mac_area_power --check_json=BENCH_fig7.json
 
+# The ASan/UBSan stage runs the full suite, so the fake-quantize kernel
+# suites (KernelEquivalence / KernelVariants in test_concurrency, the sweep
+# in test_kernel_sweep) run sanitized on every variant the host executes.
+# The vector lanes gather unmasked; their indices are the ones the scalar
+# variant loads through instrumented pointers, so an index that left its
+# table would surface here as a heap-buffer-overflow.
+#
 # Sanitizer stages run the *default* dispatch under the forced scalar
 # reference backend (deterministic baseline codegen; the per-backend gates
 # inside test_gemm/test_qgemm still drive every compiled-in SIMD backend

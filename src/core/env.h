@@ -47,4 +47,18 @@ namespace mersit::core {
   return (env == nullptr || env[0] == '\0') ? nullptr : env;
 }
 
+/// On/off switch under the same policy: `fallback` when unset or empty,
+/// false for exactly "0", true for exactly "1", and std::runtime_error
+/// naming the variable and the accepted set for anything else ("false",
+/// "yes", "01", " 1" all throw).
+[[nodiscard]] inline bool env_flag(const char* name, bool fallback) {
+  const char* env = env_str(name);
+  if (env == nullptr) return fallback;
+  const std::string v = env;
+  if (v == "0") return false;
+  if (v == "1") return true;
+  throw std::runtime_error(std::string(name) + "='" + v +
+                           "': expected 0 or 1 (or unset for the default)");
+}
+
 }  // namespace mersit::core

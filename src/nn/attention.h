@@ -62,6 +62,9 @@ class MultiHeadSelfAttention final : public Module {
     return std::make_unique<MultiHeadSelfAttention>(*this);
   }
   [[nodiscard]] bool quant_point() const override { return true; }
+  /// The projections run through forward() directly, inside the fused
+  /// attention computation; only the block's output is a hooked quant point.
+  [[nodiscard]] bool runs_children() const override { return false; }
 
  private:
   int d_, h_, dh_;

@@ -2,8 +2,9 @@
 //
 // One Backend descriptor per instruction set — scalar (the reference),
 // avx2, avx512 on x86-64, neon on aarch64 — each bundling the micro-kernel,
-// the four panel-pack routines (float and code-domain), and its tile
-// geometry (MR/NR register tile, MC/KC/NC cache blocks).  The registry is
+// the panel-pack routines (float, code-domain and int8), the int8 level
+// quantizer, and its tile geometry (MR/NR register tile, MC/KC/NC cache
+// blocks).  The registry is
 // CPUID-backed: auto-detection walks the compiled-in list best-first and
 // activates the first backend the host can execute; MERSIT_BACKEND forces a
 // specific one, strict-parsed (unknown names and backends the host cannot
@@ -34,6 +35,7 @@
 // switching MERSIT_BACKEND can never serve a foreign-layout pack.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -132,6 +134,12 @@ struct Backend {
   void (*pack_b_int8_f32)(const float* b, int ldb, bool trans, double inv,
                           int lo, int hi, int k0, int kc, int n0, int nc,
                           std::int8_t* dst);
+
+  /// The level quantizer behind gemm::quantize_levels and this backend's
+  /// *_int8_f32 packs: out[i] = clamp(RNE(x[i]·inv), lo, hi), NaN → 0.
+  /// Byte-identical across backends (test_qgemm_int8 gates it).
+  void (*quantize_levels)(const float* x, std::size_t n, double inv, int lo,
+                          int hi, std::int8_t* out);
 };
 
 /// Compiled-in backends in detection order: best first, scalar last (scalar

@@ -228,18 +228,47 @@ void micro_int8(int kc, const std::int8_t* ap, const std::int8_t* bp,
   }
 }
 
+// Level quantizer, bit-exact against detail::quantize_levels_scalar: the
+// AVX-512 backend's lane program (double-domain multiply and clamp, RNE
+// convert, NaN lanes zeroed) at four doubles per vector.
+void quantize_levels_vec(const float* x, std::size_t n, double inv, int lo,
+                         int hi, std::int8_t* out) {
+  const __m256d vinv = _mm256_set1_pd(inv);
+  const __m256d vlo = _mm256_set1_pd(static_cast<double>(lo));
+  const __m256d vhi = _mm256_set1_pd(static_cast<double>(hi));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128 xf0 = _mm_loadu_ps(x + i);
+    const __m128 xf1 = _mm_loadu_ps(x + i + 4);
+    __m256d v0 = _mm256_mul_pd(_mm256_cvtps_pd(xf0), vinv);
+    __m256d v1 = _mm256_mul_pd(_mm256_cvtps_pd(xf1), vinv);
+    v0 = _mm256_min_pd(_mm256_max_pd(v0, vlo), vhi);
+    v1 = _mm256_min_pd(_mm256_max_pd(v1, vlo), vhi);
+    const __m128i q0 = _mm256_cvtpd_epi32(v0);  // RNE, in [lo, hi]
+    const __m128i q1 = _mm256_cvtpd_epi32(v1);
+    const __m128i nan0 = _mm_castps_si128(_mm_cmpunord_ps(xf0, xf0));
+    const __m128i nan1 = _mm_castps_si128(_mm_cmpunord_ps(xf1, xf1));
+    const __m128i p16 = _mm_packs_epi32(_mm_andnot_si128(nan0, q0),
+                                        _mm_andnot_si128(nan1, q1));
+    const __m128i p8 = _mm_packs_epi16(p16, p16);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), p8);
+  }
+  if (i < n)
+    detail::quantize_levels_scalar(x + i, n - i, inv, lo, hi, out + i);
+}
+
 void pack_a_int8_f32(const float* a, int lda, bool trans, double inv, int lo,
                      int hi, int m0, int mc, int k0, int kc,
                      std::int8_t* dst) {
-  detail::pack_a_int8_f32_block<kMR, kKG8>(a, lda, trans, inv, lo, hi, m0, mc,
-                                           k0, kc, dst);
+  detail::pack_a_int8_f32_block<quantize_levels_vec, kMR, kKG8>(
+      a, lda, trans, inv, lo, hi, m0, mc, k0, kc, dst);
 }
 
 void pack_b_int8_f32(const float* b, int ldb, bool trans, double inv, int lo,
                      int hi, int k0, int kc, int n0, int nc,
                      std::int8_t* dst) {
-  detail::pack_b_int8_f32_block<kNR, kKG8>(b, ldb, trans, inv, lo, hi, k0, kc,
-                                           n0, nc, dst);
+  detail::pack_b_int8_f32_block<quantize_levels_vec, kNR, kKG8>(
+      b, ldb, trans, inv, lo, hi, k0, kc, n0, nc, dst);
 }
 
 constexpr Backend kAvx2 = {
@@ -247,7 +276,7 @@ constexpr Backend kAvx2 = {
     /*nc=*/1024,      supported,      pack_a,       pack_b,
     pack_a_codes,     pack_b_codes,   micro,
     /*kg8=*/kKG8,     pack_a_int8,    pack_b_int8,  micro_int8,
-    pack_a_int8_f32,  pack_b_int8_f32,
+    pack_a_int8_f32,  pack_b_int8_f32,  quantize_levels_vec,
 };
 
 }  // namespace

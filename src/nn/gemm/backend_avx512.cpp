@@ -22,6 +22,13 @@
 #include "nn/gemm/backend_impl.h"
 #include "core/cpu.h"
 
+// GCC 12 flags the deliberately undefined pass-through operand inside the
+// unmasked AVX-512 intrinsics (`__m512d __Y = __Y;` in avx512fintrin.h) as
+// maybe-uninitialized once they inline; the operand is never read.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+
 namespace mersit::nn::gemm {
 
 namespace {
@@ -195,24 +202,55 @@ void micro_int8(int kc, const std::int8_t* ap, const std::int8_t* bp,
   detail::micro_int8_generic<kMR, kNR, kKG8>(kc, ap, bp, acc, ldacc, mr, nr);
 }
 
+// Level quantizer, bit-exact against detail::quantize_levels_scalar.  All
+// arithmetic stays in double (cvtps_pd, mul_pd) so the product x·inv rounds
+// identically; the clamp runs in the double domain against the
+// exact-integer bounds [lo, hi], so cvtpd_epi32 (round-to-nearest-even
+// under the default MXCSR, same as lrint) can never overflow int32.  NaN
+// lanes fall out of max/min as the bound operand (x86 min/max return the
+// second operand when either is NaN), so a separate unordered-compare mask
+// zeroes them afterwards — matching the scalar `v != v → 0` branch.  ±Inf
+// survives the multiply and clamps to hi/lo like the scalar >=/<= tests.
+void quantize_levels_vec(const float* x, std::size_t n, double inv, int lo,
+                         int hi, std::int8_t* out) {
+  const __m512d vinv = _mm512_set1_pd(inv);
+  const __m512d vlo = _mm512_set1_pd(static_cast<double>(lo));
+  const __m512d vhi = _mm512_set1_pd(static_cast<double>(hi));
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 xf = _mm256_loadu_ps(x + i);
+    __m512d v = _mm512_mul_pd(_mm512_cvtps_pd(xf), vinv);
+    v = _mm512_min_pd(_mm512_max_pd(v, vlo), vhi);
+    __m256i q = _mm512_cvtpd_epi32(v);  // RNE, in [lo, hi]
+    const __m256 nan = _mm256_cmp_ps(xf, xf, _CMP_UNORD_Q);
+    q = _mm256_andnot_si256(_mm256_castps_si256(nan), q);
+    const __m128i p16 = _mm_packs_epi32(_mm256_castsi256_si128(q),
+                                        _mm256_extracti128_si256(q, 1));
+    const __m128i p8 = _mm_packs_epi16(p16, p16);
+    _mm_storel_epi64(reinterpret_cast<__m128i*>(out + i), p8);
+  }
+  if (i < n)
+    detail::quantize_levels_scalar(x + i, n - i, inv, lo, hi, out + i);
+}
+
 void pack_a_int8_f32(const float* a, int lda, bool trans, double inv, int lo,
                      int hi, int m0, int mc, int k0, int kc,
                      std::int8_t* dst) {
   // Same VNNI bias rule as pack_a_int8: the pack and the kernel test the
   // same process-constant CPUID bit, so they always agree on the layout.
   if (core::cpu_features().avx512vnni)
-    detail::pack_a_int8_f32_block<kMR, kKG8, 0x80>(a, lda, trans, inv, lo, hi,
-                                                   m0, mc, k0, kc, dst);
+    detail::pack_a_int8_f32_block<quantize_levels_vec, kMR, kKG8, 0x80>(
+        a, lda, trans, inv, lo, hi, m0, mc, k0, kc, dst);
   else
-    detail::pack_a_int8_f32_block<kMR, kKG8>(a, lda, trans, inv, lo, hi, m0,
-                                             mc, k0, kc, dst);
+    detail::pack_a_int8_f32_block<quantize_levels_vec, kMR, kKG8>(
+        a, lda, trans, inv, lo, hi, m0, mc, k0, kc, dst);
 }
 
 void pack_b_int8_f32(const float* b, int ldb, bool trans, double inv, int lo,
                      int hi, int k0, int kc, int n0, int nc,
                      std::int8_t* dst) {
-  detail::pack_b_int8_f32_block<kNR, kKG8>(b, ldb, trans, inv, lo, hi, k0, kc,
-                                           n0, nc, dst);
+  detail::pack_b_int8_f32_block<quantize_levels_vec, kNR, kKG8>(
+      b, ldb, trans, inv, lo, hi, k0, kc, n0, nc, dst);
 }
 
 constexpr Backend kAvx512 = {
@@ -220,7 +258,7 @@ constexpr Backend kAvx512 = {
     /*nc=*/1024,        supported,      pack_a,       pack_b,
     pack_a_codes,       pack_b_codes,   micro,
     /*kg8=*/kKG8,       pack_a_int8,    pack_b_int8,  micro_int8,
-    pack_a_int8_f32,    pack_b_int8_f32,
+    pack_a_int8_f32,    pack_b_int8_f32,    quantize_levels_vec,
 };
 
 }  // namespace

@@ -31,6 +31,17 @@
 
 namespace mersit::nn::gemm::detail {
 
+/// Signature of Backend::quantize_levels.
+using QuantizeLevelsFn = void (*)(const float* x, std::size_t n, double inv,
+                                  int lo, int hi, std::int8_t* out);
+
+/// The scalar level quantizer: the reference every backend's
+/// quantize_levels matches byte for byte, and the tail loop of the SIMD
+/// ones.  Defined out of line in the baseline-flags scalar TU, so no SIMD
+/// TU's instruction set can leak into it.
+void quantize_levels_scalar(const float* x, std::size_t n, double inv, int lo,
+                            int hi, std::int8_t* out);
+
 inline float a_elem(const float* a, int lda, bool trans, int m, int k) {
   return trans ? a[static_cast<std::size_t>(k) * lda + m]
                : a[static_cast<std::size_t>(m) * lda + k];
@@ -345,13 +356,14 @@ void pack_b_int8_block(const std::uint8_t* b, int ldb, bool trans,
   }
 }
 
-/// pack_a_int8_block over a float source: quantize_levels runs on each
-/// contiguous run of the source (a whole k-row when !trans; a gathered
+/// pack_a_int8_block over a float source: the backend's level quantizer
+/// (`Quantize`, its Backend::quantize_levels) runs on each contiguous run
+/// of the source (a whole k-row when !trans; a gathered
 /// column otherwise) through a small stack buffer, and the resulting levels
 /// distribute into the same [group][m][j] layout with the same XOR and
-/// padding rules.  quantize_levels is elementwise, so panels are
+/// padding rules.  The quantizer is elementwise, so panels are
 /// byte-identical to pack_a_int8_block over pre-quantized levels.
-template <int MR, int KG, int XOR = 0>
+template <QuantizeLevelsFn Quantize, int MR, int KG, int XOR = 0>
 void pack_a_int8_f32_block(const float* a, int lda, bool trans, double inv,
                            int lo, int hi, int m0, int mc, int k0, int kc,
                            std::int8_t* dst) {
@@ -375,7 +387,7 @@ void pack_a_int8_f32_block(const float* a, int lda, bool trans, double inv,
                   a[static_cast<std::size_t>(k0 + kb + i) * lda + m0 + ip + m];
             src = tmp;
           }
-          quantize_levels(src, static_cast<std::size_t>(len), inv, lo, hi, q);
+          Quantize(src, static_cast<std::size_t>(len), inv, lo, hi, q);
           // A group's KG levels are contiguous at dm + g*MR*KG: compose them
           // (with the byte bias) into one word and store it whole.
           constexpr std::uint32_t xmask = 0x01010101u * XOR;
@@ -408,9 +420,9 @@ void pack_a_int8_f32_block(const float* a, int lda, bool trans, double inv,
 
 /// pack_b_int8_block over a float source (B panels are always plain
 /// two's-complement levels).  !trans is the hot orientation (conv im2col
-/// columns): row k of op(B) is contiguous, so one quantize_levels call per k
+/// columns): row k of op(B) is contiguous, so one quantizer call per k
 /// covers every panel of the block.
-template <int NR, int KG>
+template <QuantizeLevelsFn Quantize, int NR, int KG>
 void pack_b_int8_f32_block(const float* b, int ldb, bool trans, double inv,
                            int lo, int hi, int k0, int kc, int n0, int nc,
                            std::int8_t* dst) {
@@ -441,9 +453,8 @@ void pack_b_int8_f32_block(const float* b, int ldb, bool trans, double inv,
         for (int j = 0; j < KG; ++j) {
           const int k = g * KG + j;
           if (k < kc)
-            quantize_levels(b + static_cast<std::size_t>(k0 + k) * ldb + n0 +
-                                nb,
-                            static_cast<std::size_t>(len), inv, lo, hi, qr[j]);
+            Quantize(b + static_cast<std::size_t>(k0 + k) * ldb + n0 + nb,
+                     static_cast<std::size_t>(len), inv, lo, hi, qr[j]);
           else
             std::memset(qr[j], 0, static_cast<std::size_t>(len));
         }
@@ -483,8 +494,7 @@ void pack_b_int8_f32_block(const float* b, int ldb, bool trans, double inv,
                         static_cast<std::size_t>(n % NR) * KG;
       for (int kb = 0; kb < kc; kb += kChunk) {
         const int len = std::min(kChunk, kc - kb);
-        quantize_levels(src + kb, static_cast<std::size_t>(len), inv, lo, hi,
-                        q);
+        Quantize(src + kb, static_cast<std::size_t>(len), inv, lo, hi, q);
         for (int i = 0; i < len; ++i) {
           const int k = kb + i;
           dn[static_cast<std::size_t>(k / KG) * NR * KG + k % KG] = q[i];

@@ -225,15 +225,15 @@ void micro_int8(int kc, const std::int8_t* ap, const std::int8_t* bp,
 void pack_a_int8_f32(const float* a, int lda, bool trans, double inv, int lo,
                      int hi, int m0, int mc, int k0, int kc,
                      std::int8_t* dst) {
-  detail::pack_a_int8_f32_block<kMR, kKG8>(a, lda, trans, inv, lo, hi, m0, mc,
-                                           k0, kc, dst);
+  detail::pack_a_int8_f32_block<detail::quantize_levels_scalar, kMR, kKG8>(
+      a, lda, trans, inv, lo, hi, m0, mc, k0, kc, dst);
 }
 
 void pack_b_int8_f32(const float* b, int ldb, bool trans, double inv, int lo,
                      int hi, int k0, int kc, int n0, int nc,
                      std::int8_t* dst) {
-  detail::pack_b_int8_f32_block<kNR, kKG8>(b, ldb, trans, inv, lo, hi, k0, kc,
-                                           n0, nc, dst);
+  detail::pack_b_int8_f32_block<detail::quantize_levels_scalar, kNR, kKG8>(
+      b, ldb, trans, inv, lo, hi, k0, kc, n0, nc, dst);
 }
 
 constexpr Backend kNeon = {
@@ -241,7 +241,7 @@ constexpr Backend kNeon = {
     /*nc=*/1024,      supported,      pack_a,       pack_b,
     pack_a_codes,     pack_b_codes,   micro,
     /*kg8=*/kKG8,     pack_a_int8,    pack_b_int8,  micro_int8,
-    pack_a_int8_f32,  pack_b_int8_f32,
+    pack_a_int8_f32,  pack_b_int8_f32,  detail::quantize_levels_scalar,
 };
 
 }  // namespace

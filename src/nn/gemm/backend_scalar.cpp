@@ -11,7 +11,36 @@
 // runs ~4x slower.  MC/KC/NC size the packed panels for L2/L1 residency.
 #include "nn/gemm/backend_impl.h"
 
+#include <cmath>
+
 namespace mersit::nn::gemm {
+
+namespace detail {
+
+// Kept exactly in sync with the vector quantizers: the whole int8 layer
+// contract (ULP-0 across backends, thread invariance) leans on every lane
+// producing the same byte regardless of which path quantized it.
+void quantize_levels_scalar(const float* x, std::size_t n, double inv, int lo,
+                            int hi, std::int8_t* out) {
+  const double dlo = static_cast<double>(lo);
+  const double dhi = static_cast<double>(hi);
+  for (std::size_t i = 0; i < n; ++i) {
+    const double v = static_cast<double>(x[i]) * inv;
+    int q;
+    if (v >= dhi) {
+      q = hi;
+    } else if (v <= dlo) {
+      q = lo;
+    } else if (v != v) {  // NaN input: match encode-of-NaN gating upstream
+      q = 0;
+    } else {
+      q = static_cast<int>(std::lrint(v));  // RNE under default fenv
+    }
+    out[i] = static_cast<std::int8_t>(q);
+  }
+}
+
+}  // namespace detail
 
 namespace {
 
@@ -75,15 +104,15 @@ void micro_int8(int kc, const std::int8_t* ap, const std::int8_t* bp,
 void pack_a_int8_f32(const float* a, int lda, bool trans, double inv, int lo,
                      int hi, int m0, int mc, int k0, int kc,
                      std::int8_t* dst) {
-  detail::pack_a_int8_f32_block<kMR, kKG8>(a, lda, trans, inv, lo, hi, m0, mc,
-                                           k0, kc, dst);
+  detail::pack_a_int8_f32_block<detail::quantize_levels_scalar, kMR, kKG8>(
+      a, lda, trans, inv, lo, hi, m0, mc, k0, kc, dst);
 }
 
 void pack_b_int8_f32(const float* b, int ldb, bool trans, double inv, int lo,
                      int hi, int k0, int kc, int n0, int nc,
                      std::int8_t* dst) {
-  detail::pack_b_int8_f32_block<kNR, kKG8>(b, ldb, trans, inv, lo, hi, k0, kc,
-                                           n0, nc, dst);
+  detail::pack_b_int8_f32_block<detail::quantize_levels_scalar, kNR, kKG8>(
+      b, ldb, trans, inv, lo, hi, k0, kc, n0, nc, dst);
 }
 
 constexpr Backend kScalar = {
@@ -91,7 +120,7 @@ constexpr Backend kScalar = {
     /*nc=*/1024,        supported,      pack_a,       pack_b,
     pack_a_codes,       pack_b_codes,   micro,
     /*kg8=*/kKG8,       pack_a_int8,    pack_b_int8,  micro_int8,
-    pack_a_int8_f32,    pack_b_int8_f32,
+    pack_a_int8_f32,    pack_b_int8_f32,    detail::quantize_levels_scalar,
 };
 
 }  // namespace

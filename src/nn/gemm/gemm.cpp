@@ -7,12 +7,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/aligned.h"
+#include "core/env.h"
 #include "core/scratch_arena.h"
 #include "nn/gemm/backend.h"
 #include "nn/gemm/backend_impl.h"
@@ -21,27 +21,20 @@ namespace mersit::nn::gemm {
 
 namespace {
 
+// The three switches parse strictly (core::env_flag): unset or empty is the
+// default, "0"/"1" set it, anything else throws naming the variable.
 std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("MERSIT_GEMM");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
+  static std::atomic<bool> flag = core::env_flag("MERSIT_GEMM", true);
   return flag;
 }
 
 std::atomic<bool>& prepack_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("MERSIT_PREPACK");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
+  static std::atomic<bool> flag = core::env_flag("MERSIT_PREPACK", true);
   return flag;
 }
 
 std::atomic<bool>& fold_bn_flag() {
-  static std::atomic<bool> flag = [] {
-    const char* env = std::getenv("MERSIT_FOLD_BN");
-    return env != nullptr && env[0] == '1' && env[1] == '\0';
-  }();
+  static std::atomic<bool> flag = core::env_flag("MERSIT_FOLD_BN", false);
   return flag;
 }
 

@@ -61,21 +61,22 @@
 namespace mersit::nn::gemm {
 
 /// GEMM dispatch switch: MERSIT_GEMM=0 disables it (naive reference loops);
-/// anything else — including unset — enables it.
+/// unset, empty or 1 enables it.  Any other value throws std::runtime_error
+/// on first use, naming the variable (strict, like core::env_flag).
 [[nodiscard]] bool enabled();
 
 /// Programmatic override (tests, benches); returns the previous value.
 bool set_enabled(bool on);
 
 /// Prepack/fusion switch for the inference-runtime layer: MERSIT_PREPACK=0
-/// makes the layers pack per call and keep explicit activation modules (the
-/// PR-4 behaviour); anything else — including unset — enables the
-/// prepacked-weight caches and epilogue fusion.
+/// makes the layers pack per call and keep explicit activation modules;
+/// unset, empty or 1 enables the prepacked-weight caches and epilogue
+/// fusion.  Any other value throws on first use.
 [[nodiscard]] bool prepack_enabled();
 bool set_prepack_enabled(bool on);
 
 /// Inference-only BatchNorm folding switch (MERSIT_FOLD_BN=1 to enable;
-/// default off).  Folding multiplies conv weights by gamma/sigma before the
+/// unset, empty or 0 leaves it off; any other value throws on first use).  Folding multiplies conv weights by gamma/sigma before the
 /// GEMM, which reassociates rounding — results are tolerance-equal, not
 /// bit-identical, hence opt-in.
 [[nodiscard]] bool fold_bn_enabled();

@@ -179,7 +179,9 @@ inline constexpr int kInt8MaxK = 1 << 16;
 /// tensor_scale).  For activations already fake-quantized onto the grid
 /// (the PTQ eval and serving paths) the rounding is exact, so this matches
 /// the format's own encode kernel code-for-code (pinned by test).
-/// Non-finite inputs clamp (NaN → 0).
+/// Non-finite inputs clamp (NaN → 0).  Runs on the active backend's
+/// quantizer (Backend::quantize_levels, so MERSIT_BACKEND selects it too);
+/// every backend writes the same bytes.
 void quantize_levels(const float* x, std::size_t n, double inv, int lo,
                      int hi, std::int8_t* out);
 

@@ -351,6 +351,9 @@ class SEBlock final : public Module {
   void collect_children(std::vector<NamedChild>& out) override;
   [[nodiscard]] ModulePtr clone() const override { return std::make_unique<SEBlock>(*this); }
   [[nodiscard]] bool quant_point() const override { return true; }
+  /// fc1/fc2 run through forward() directly: their outputs never leave the
+  /// block, so only the block's own output is a hooked quant point.
+  [[nodiscard]] bool runs_children() const override { return false; }
 
  private:
   int c_;

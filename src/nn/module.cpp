@@ -17,7 +17,21 @@ void walk_named(Module& m, const std::string& path, std::vector<NamedModuleRef>&
   }
 }
 
+void walk_hooked(Module& m, std::vector<Module*>& out) {
+  if (m.quant_point()) out.push_back(&m);
+  if (!m.runs_children()) return;
+  std::vector<NamedChild> ch;
+  m.collect_children(ch);
+  for (const NamedChild& c : ch) walk_hooked(*c.module, out);
+}
+
 }  // namespace
+
+std::vector<Module*> hooked_quant_points(Module& root) {
+  std::vector<Module*> out;
+  walk_hooked(root, out);
+  return out;
+}
 
 std::vector<NamedModuleRef> named_modules(Module& root, const std::string& root_name) {
   std::vector<NamedModuleRef> out;

@@ -182,6 +182,13 @@ class Module {
   /// True when the output tensor would be spilled to (8-bit) memory.
   [[nodiscard]] virtual bool quant_point() const { return false; }
 
+  /// True when forward() reaches every child through run(), so a child that
+  /// is a quant point fires its own hook under a session.  Modules that call
+  /// a child's forward() directly (SEBlock's squeeze/excite Linears, the
+  /// attention projections) return false: those children are internal
+  /// stages, quantized only as part of their parent's output.
+  [[nodiscard]] virtual bool runs_children() const { return true; }
+
   /// Stable hierarchical path of this module within its tree (e.g.
   /// "resnet18/stage1_block0/residual/body/conv1").  Empty until
   /// assign_paths() runs on the root; the model factories assign paths
@@ -225,6 +232,12 @@ struct NamedModuleRef {
 /// join child names with '/'; the root's path is `root_name` itself.
 [[nodiscard]] std::vector<NamedModuleRef> named_modules(Module& root,
                                                         const std::string& root_name);
+
+/// The quant points whose hooks fire in a forward of `root` under a
+/// session: quant_point() modules reached from `root` only through parents
+/// that run their children (Module::runs_children), in pre-order.  The
+/// static counterpart of what a QuantSession observes.
+[[nodiscard]] std::vector<Module*> hooked_quant_points(Module& root);
 
 /// Walk the tree and store each module's path (see Module::path()).
 /// Throws std::logic_error if two modules would share a path — structural

@@ -378,9 +378,11 @@ CalibrationTable calibrate_model(Module& model, const Dataset& calib,
 }
 
 void validate_table_coverage(Module& model, const CalibrationTable& table) {
+  // Exactly the quant points a session sees (nn::hooked_quant_points): a
+  // Linear inside an SE block or attention never fires its own hook, so
+  // calibrate_model records no entry for it and none is required.
   std::set<std::string> missing;
-  for (Module* m : model.modules()) {
-    if (!m->quant_point()) continue;
+  for (Module* m : nn::hooked_quant_points(model)) {
     const std::string& path = m->path();
     if (path.empty())
       missing.insert("<unpathed " + m->name() + ">");

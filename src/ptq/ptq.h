@@ -180,11 +180,11 @@ struct PtqOptions {
                                                bool observe_input = true,
                                                std::string model_name = "");
 
-/// Verify that every quant-point module of `model` has an entry in `table`,
-/// by static tree walk (no forward pass, no sample data needed — the check
-/// the serving engine runs before hot-swapping a calibration artifact under
-/// a replica).  Stricter than the runtime pre-check in evaluate_with_table:
-/// a quant point that exists but would not fire still needs an entry.
+/// Verify that every hooked quant point of `model` (nn::hooked_quant_points:
+/// the quant points whose on_activation hook fires in a forward — exactly
+/// the set calibrate_model records) has an entry in `table`, by static tree
+/// walk (no forward pass, no sample data needed — the check the serving
+/// engine runs before hot-swapping a calibration artifact under a replica).
 /// Throws std::runtime_error naming every missing path.
 void validate_table_coverage(nn::Module& model, const CalibrationTable& table);
 

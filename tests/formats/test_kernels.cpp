@@ -4,15 +4,20 @@
 // on the adversarial corners: exact decoded values, exact rounding midpoints
 // (the ties-to-even-code rule), their nextafter neighbours, the underflow
 // boundary, the saturation boundary, ±0, double denormals, NaN and ±inf —
-// plus a large random sweep.
+// plus a large random sweep.  The KernelVariants tests then hold every
+// fake-quantize variant this host can execute (not just the dispatched one)
+// to the same reference, element for element, including the tails and
+// unaligned starts the vector loops hand to their scalar remainder.
 #include "formats/kernels/quant_kernel.h"
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "core/registry.h"
@@ -178,6 +183,168 @@ TEST(KernelEquivalence, BatchRmseMatchesScalarReference) {
       const double b = quantization_rmse_scalar(buf, *fmt, scale);
       EXPECT_EQ(std::bit_cast<std::uint64_t>(a), std::bit_cast<std::uint64_t>(b))
           << name << " scale=" << scale;
+    }
+  }
+}
+
+// ------------------------------------------------------------ variants --
+
+/// Every variant this host can execute, the dispatched one included.
+std::vector<const FakeQuantVariant*> runnable_variants() {
+  std::vector<const FakeQuantVariant*> out;
+  for (const FakeQuantVariant& v : fake_quant_variants())
+    if (v.supported()) out.push_back(&v);
+  return out;
+}
+
+/// Runs `v` over `in` and expects every output float bit-identical to
+/// fake_quantize_scalar (the Format::quantize reference).
+void expect_variant_matches_reference(const FakeQuantVariant& v,
+                                      const Format& fmt,
+                                      const std::vector<float>& in,
+                                      double scale) {
+  std::vector<float> got = in;
+  std::vector<float> want = in;
+  kernel_for(fmt)->fake_quantize(v, got, scale);
+  fake_quantize_scalar(want, fmt, scale);
+  int reported = 0;
+  for (std::size_t i = 0; i < in.size() && reported < 8; ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i]) ==
+        std::bit_cast<std::uint32_t>(want[i]))
+      continue;
+    ++reported;
+    ADD_FAILURE() << v.name << " " << fmt.name() << " scale=" << scale
+                  << " in=" << std::hexfloat << in[i] << " (0x" << std::hex
+                  << std::bit_cast<std::uint32_t>(in[i]) << ") got 0x"
+                  << std::bit_cast<std::uint32_t>(got[i]) << " want 0x"
+                  << std::bit_cast<std::uint32_t>(want[i]);
+  }
+}
+
+/// `v` and its negation, and the 16 float ULPs on either side of both.
+void push_signed_ulps(std::vector<float>& out, float v) {
+  for (const float s : {v, -v}) {
+    out.push_back(s);
+    float up = s, down = s;
+    for (int k = 0; k < 16; ++k) {
+      up = std::nextafter(up, std::numeric_limits<float>::infinity());
+      down = std::nextafter(down, -std::numeric_limits<float>::infinity());
+      out.push_back(up);
+      out.push_back(down);
+    }
+  }
+}
+
+/// Non-finite, zero, denormal and saturation-edge inputs in the scaled
+/// (float) domain.
+std::vector<float> special_floats(const Format& fmt, double scale) {
+  using lim = std::numeric_limits<float>;
+  std::vector<float> out = {
+      0.f, -0.f, lim::quiet_NaN(), -lim::quiet_NaN(), lim::signaling_NaN(),
+      std::bit_cast<float>(0x7f800001u), std::bit_cast<float>(0xffffffffu),
+      lim::infinity(), -lim::infinity(), lim::max(), -lim::max(),
+      lim::min(), -lim::min(), lim::denorm_min(), -lim::denorm_min(),
+      std::bit_cast<float>(0x007fffffu), std::bit_cast<float>(0x807fffffu),
+      std::bit_cast<float>(0x00400000u), std::bit_cast<float>(0x80000123u)};
+  const TableCodec& codec = fmt.codec();
+  push_signed_ulps(out, static_cast<float>(codec.max_finite() * scale));
+  push_signed_ulps(out, static_cast<float>(codec.max_finite() * scale * 2.0));
+  push_signed_ulps(out, static_cast<float>(codec.min_positive() * scale));
+  push_signed_ulps(out,
+                   static_cast<float>(codec.min_positive() * scale * 0.5));
+  return out;
+}
+
+TEST(KernelVariants, ScalarIsLastAndDispatchPicksFirstSupported) {
+  const std::span<const FakeQuantVariant> all = fake_quant_variants();
+  ASSERT_FALSE(all.empty());
+  EXPECT_STREQ(all.back().name, "scalar");
+  EXPECT_TRUE(all.back().supported());
+  EXPECT_EQ(&active_fake_quant_variant(), runnable_variants().front());
+}
+
+TEST(KernelVariants, AllDecodedValuesMatchReference) {
+  for (const auto& name : core::all_format_names()) {
+    const auto fmt = core::make_format(name);
+    for (const double scale : kScales) {
+      std::vector<float> in;
+      for (int c = 0; c < 256; ++c)
+        in.push_back(static_cast<float>(
+            fmt->codec().decode(static_cast<std::uint8_t>(c)) * scale));
+      for (const FakeQuantVariant* v : runnable_variants())
+        expect_variant_matches_reference(*v, *fmt, in, scale);
+    }
+  }
+}
+
+TEST(KernelVariants, EveryBoundaryPlusMinus16UlpMatchesReference) {
+  for (const auto& name : core::all_format_names()) {
+    const auto fmt = core::make_format(name);
+    const auto& pos = fmt->codec().positives();
+    for (const double scale : kScales) {
+      std::vector<float> in;
+      push_signed_ulps(in, static_cast<float>(pos.front().value * 0.5 * scale));
+      for (std::size_t i = 1; i < pos.size(); ++i)
+        push_signed_ulps(
+            in, static_cast<float>(0.5 * (pos[i - 1].value + pos[i].value) *
+                                   scale));
+      for (const FakeQuantVariant* v : runnable_variants())
+        expect_variant_matches_reference(*v, *fmt, in, scale);
+    }
+  }
+}
+
+TEST(KernelVariants, SpecialValuesMatchReference) {
+  for (const auto& name : core::all_format_names()) {
+    const auto fmt = core::make_format(name);
+    for (const double scale : kScales) {
+      const std::vector<float> in = special_floats(*fmt, scale);
+      for (const FakeQuantVariant* v : runnable_variants())
+        expect_variant_matches_reference(*v, *fmt, in, scale);
+    }
+  }
+}
+
+TEST(KernelVariants, TailsAndUnalignedStartsMatchReference) {
+  constexpr std::size_t kMaxLen = 17;
+  constexpr std::size_t kMaxOffset = 7;
+  const float sentinel = std::bit_cast<float>(0x7fc0beefu);
+  for (const auto& name : core::all_format_names()) {
+    const auto fmt = core::make_format(name);
+    const auto kernel = kernel_for(*fmt);
+    const double scale = 0.25;
+    // Probe stream mixing random data with the special values, so every
+    // lane position of every tail sees some of each.
+    std::vector<float> probes = special_floats(*fmt, scale);
+    const std::vector<float> random = float_probes(*fmt, scale);
+    probes.insert(probes.end(), random.begin(), random.begin() + 200);
+    for (const FakeQuantVariant* v : runnable_variants()) {
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        for (std::size_t off = 0; off <= kMaxOffset; ++off) {
+          for (std::size_t at = 0; at + len <= probes.size(); at += 37) {
+            // [sentinel x off][len inputs][sentinel x 8]
+            const auto first =
+                probes.begin() + static_cast<std::ptrdiff_t>(at);
+            std::vector<float> buf(off + len + 8, sentinel);
+            std::copy_n(first, len,
+                        buf.begin() + static_cast<std::ptrdiff_t>(off));
+            std::vector<float> want(first,
+                                    first + static_cast<std::ptrdiff_t>(len));
+            fake_quantize_scalar(want, *fmt, scale);
+            kernel->fake_quantize(*v, std::span<float>(buf.data() + off, len),
+                                  scale);
+            for (std::size_t i = 0; i < buf.size(); ++i) {
+              const bool inside = i >= off && i < off + len;
+              const float expect = inside ? want[i - off] : sentinel;
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(buf[i]),
+                        std::bit_cast<std::uint32_t>(expect))
+                  << v->name << " " << name << " len=" << len
+                  << " off=" << off << " at=" << at << " i=" << i
+                  << (inside ? "" : " (outside the span: must be untouched)");
+            }
+          }
+        }
+      }
     }
   }
 }

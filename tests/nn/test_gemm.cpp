@@ -15,13 +15,16 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/env.h"
 #include "core/thread_pool.h"
 #include "nn/attention.h"
 #include "nn/gemm/backend.h"
@@ -669,6 +672,97 @@ TEST(GemmEnv, SetEnabledReturnsPreviousValue) {
   EXPECT_FALSE(gemm::enabled());
   EXPECT_FALSE(gemm::set_enabled(was));
   EXPECT_EQ(gemm::enabled(), was);
+}
+
+/// Sets (or unsets, for nullptr) an environment variable for one scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value != nullptr)
+      setenv(name, value, 1);
+    else
+      unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      setenv(name_, old_->c_str(), 1);
+    else
+      unsetenv(name_);
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+// The GEMM switches are strict 0/1 flags: unset or empty selects the
+// default, "0"/"1" set it, and anything else throws naming the variable
+// and the accepted set — MERSIT_GEMM=false must not silently leave GEMM on.
+TEST(GemmEnv, SwitchesAcceptExactlyZeroAndOne) {
+  for (const char* name : {"MERSIT_GEMM", "MERSIT_PREPACK", "MERSIT_FOLD_BN"}) {
+    SCOPED_TRACE(name);
+    for (const bool fallback : {false, true}) {
+      {
+        const ScopedEnv env(name, nullptr);
+        EXPECT_EQ(core::env_flag(name, fallback), fallback);
+      }
+      {
+        const ScopedEnv env(name, "");
+        EXPECT_EQ(core::env_flag(name, fallback), fallback);
+      }
+      {
+        const ScopedEnv env(name, "0");
+        EXPECT_FALSE(core::env_flag(name, fallback));
+      }
+      {
+        const ScopedEnv env(name, "1");
+        EXPECT_TRUE(core::env_flag(name, fallback));
+      }
+    }
+    for (const char* bad : {"false", "true", "yes", "off", "01", " 1", "2"}) {
+      const ScopedEnv env(name, bad);
+      try {
+        (void)core::env_flag(name, true);
+        ADD_FAILURE() << "accepted " << name << "='" << bad << "'";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::string(name) + "='" + bad + "'"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("expected 0 or 1"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
+// The switches read the environment once, on first use, so each malformed
+// value is exercised in a fresh process (threadsafe death tests re-execute
+// the binary): the first read of the switch must throw, not default.  The
+// child reports the exception through its exit code and stderr.
+[[noreturn]] void read_switch_in_child(const char* name, const char* value,
+                                       bool (*read)()) {
+  setenv(name, value, 1);
+  try {
+    (void)read();
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::_Exit(3);
+  }
+  std::_Exit(0);
+}
+
+TEST(GemmEnvDeathTest, MalformedSwitchesThrowOnFirstUse) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(read_switch_in_child("MERSIT_GEMM", "false", gemm::enabled),
+              ::testing::ExitedWithCode(3),
+              "MERSIT_GEMM='false': expected 0 or 1");
+  EXPECT_EXIT(
+      read_switch_in_child("MERSIT_PREPACK", "no", gemm::prepack_enabled),
+      ::testing::ExitedWithCode(3), "MERSIT_PREPACK='no': expected 0 or 1");
+  EXPECT_EXIT(
+      read_switch_in_child("MERSIT_FOLD_BN", "true", gemm::fold_bn_enabled),
+      ::testing::ExitedWithCode(3), "MERSIT_FOLD_BN='true': expected 0 or 1");
 }
 
 }  // namespace

@@ -258,8 +258,11 @@ TEST(PrepackKernel, InvalidCombinationsThrow) {
                            gemm::Epilogue::kNone, nullptr, nullptr, &half),
                std::invalid_argument);
   // A pack built for a different shape must be rejected, not silently read.
-  const gemm::PackedMatrix wrong = gemm::pack_a_matrix(M + 1, K, A.data(), K,
-                                                       false);
+  // (Packed from its own (M+1) x K source: packing A itself would read past
+  // its 16 elements.)
+  const auto A_tall = random_vec((M + 1) * K, rng);
+  const gemm::PackedMatrix wrong =
+      gemm::pack_a_matrix(M + 1, K, A_tall.data(), K, false);
   EXPECT_THROW(gemm::sgemm(M, N, K, A.data(), K, false, B.data(), N, false,
                            C.data(), N, gemm::Init::kZero, nullptr, nullptr,
                            gemm::Epilogue::kNone, &wrong),

@@ -232,6 +232,50 @@ TEST(Int8Levels, QuantizeLevelsMatchesFormatEncodeAllCodes) {
   EXPECT_EQ(out[2], 0);
 }
 
+// Every compiled-in backend's level quantizer must write the scalar
+// reference's bytes: random data across many magnitudes plus every tie,
+// clamp and non-finite corner, at every length 0..40 so each vector loop's
+// scalar tail is covered too.  gemm::quantize_levels dispatches through the
+// active backend, so this is what makes MERSIT_BACKEND=scalar runs and SIMD
+// runs interchangeable.
+TEST(Int8Levels, EveryBackendQuantizerMatchesScalarReference) {
+  std::vector<float> x;
+  std::mt19937 rng(77);
+  std::normal_distribution<float> normal(0.f, 1.f);
+  std::uniform_real_distribution<float> octave(-6.f, 10.f);
+  for (int i = 0; i < 4000; ++i)
+    x.push_back(normal(rng) * std::exp2(octave(rng)));
+  for (int l = -130; l <= 130; ++l)  // exact levels and exact half-way ties
+    for (const float d : {0.f, 0.5f, -0.5f})
+      x.push_back(static_cast<float>(l) + d);
+  const float inf = std::numeric_limits<float>::infinity();
+  for (const float v : {0.f, -0.f, inf, -inf, 1e30f, -1e30f,
+                        std::numeric_limits<float>::quiet_NaN(),
+                        std::numeric_limits<float>::denorm_min()})
+    x.push_back(v);
+  const std::size_t n = x.size();
+  for (const double inv : {1.0, 0.37, 3.0}) {
+    std::vector<std::int8_t> want(n);
+    gemm::scalar_backend().quantize_levels(x.data(), n, inv, -127, 127,
+                                           want.data());
+    for (const gemm::Backend* b : gemm::backends()) {
+      if (!b->supported()) continue;
+      std::vector<std::int8_t> got(n, 99);
+      b->quantize_levels(x.data(), n, inv, -127, 127, got.data());
+      for (std::size_t i = 0; i < n; ++i)
+        ASSERT_EQ(got[i], want[i]) << b->name << " inv=" << inv << " x="
+                                   << x[i];
+      for (std::size_t len = 0; len <= 40; ++len) {
+        std::vector<std::int8_t> tail(len + 1, 99);
+        b->quantize_levels(x.data() + 3, len, inv, -127, 127, tail.data());
+        for (std::size_t i = 0; i < len; ++i)
+          ASSERT_EQ(tail[i], want[i + 3]) << b->name << " len=" << len;
+        ASSERT_EQ(tail[len], 99) << b->name << " wrote past len=" << len;
+      }
+    }
+  }
+}
+
 // FakeQuantizer's uniform-grid fast path (SIMD level quantize + per-level
 // output table) must be bit-identical to the per-element codec reference
 // for every format it engages on — crafted rounding ties, non-finite

@@ -4,10 +4,14 @@
 // structural validation of restore_weights / unpack_weights.
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "core/registry.h"
 #include "nn/data.h"
+#include "nn/models.h"
 #include "ptq/ptq.h"
 #include "ptq/serialize.h"
 
@@ -186,6 +190,59 @@ TEST(PackWeights, RecordsModulePaths) {
     EXPECT_EQ(t.path.rfind("mobilenet_v3", 0), 0u) << t.path;
   }
   EXPECT_EQ(qm.tensors.front().path, "mobilenet_v3/stem_conv");
+}
+
+/// Records the path of every quant point whose hook fires.
+class HookRecorder final : public nn::QuantSession {
+ public:
+  void on_activation(const nn::Module& layer, nn::Tensor& t) override {
+    (void)t;
+    fired.insert(layer.path());
+  }
+  std::set<std::string> fired;
+};
+
+std::set<std::string> hooked_paths(nn::Module& model) {
+  std::set<std::string> out;
+  for (nn::Module* m : nn::hooked_quant_points(model)) out.insert(m->path());
+  return out;
+}
+
+// The static coverage walk (validate_table_coverage, the serving engine's
+// swap gate) must require exactly the quant points whose hooks fire — no
+// fewer, and no more: an SE block's or attention block's inner Linears run
+// without a hook, so calibrate_model never records them, and demanding
+// them rejected every calibrated SE-model artifact.
+TEST(CoverageWalk, HookedQuantPointsAreExactlyTheHooksThatFire) {
+  std::vector<nn::NamedModel> zoo = nn::make_vision_zoo(3, 10, /*seed=*/5);
+  const Dataset images = nn::make_vision_dataset(8, 3, 12, 43);
+  for (nn::NamedModel& nm : zoo) {
+    SCOPED_TRACE(nm.name);
+    HookRecorder rec;
+    const nn::Context ctx{/*train=*/false, &rec};
+    (void)nm.model->run(images.inputs, ctx);
+    EXPECT_EQ(hooked_paths(*nm.model), rec.fired);
+    const CalibrationTable table =
+        calibrate_model(*nm.model, images, /*observe_input=*/true);
+    EXPECT_NO_THROW(validate_table_coverage(*nm.model, table));
+  }
+
+  std::mt19937 rng(9);
+  auto bert = nn::make_bert_mini(48, 24, 16, 2, 1, 32, 2, rng);
+  const Dataset tokens =
+      nn::make_glue_dataset(nn::GlueTask::kSst2, 8, 48, 12, 3);
+  HookRecorder rec;
+  const nn::Context ctx{/*train=*/false, &rec};
+  (void)bert->run(tokens.inputs, ctx);
+  EXPECT_EQ(hooked_paths(*bert), rec.fired);
+  const CalibrationTable table =
+      calibrate_model(*bert, tokens, /*observe_input=*/false);
+  EXPECT_NO_THROW(validate_table_coverage(*bert, table));
+
+  // Still strict: dropping any one hooked entry is caught.
+  CalibrationTable missing = table;
+  missing.absmax.erase(*rec.fired.begin());
+  EXPECT_THROW(validate_table_coverage(*bert, missing), std::runtime_error);
 }
 
 }  // namespace

@@ -35,6 +35,41 @@ struct Artifact {
   std::string mqt1;
 };
 
+/// One-sample forward through a fresh clone of `proto` serving this
+/// artifact — exactly what a quiesced engine replica computes (unpack +
+/// FakeQuantizer with input quantization).
+nn::Tensor quiesced_output(const nn::Module& proto,
+                           const ptq::CalibrationTable& table,
+                           const formats::Format& fmt, const Artifact& art,
+                           const nn::Tensor& probe) {
+  const nn::ModulePtr replica = proto.clone();
+  std::istringstream mqt1(art.mqt1);
+  const ptq::QuantizedModel qm = ptq::QuantizedModel::load(mqt1);
+  ptq::unpack_weights(*replica, qm, fmt,
+                      formats::CorruptionPolicy::kZeroSubstitute);
+  ptq::FakeQuantizer fq(table, fmt, formats::ScalePolicy::kMaxToUnity);
+  fq.set_input_quantization(true);
+  nn::Tensor x({1, 3, kImg, kImg});
+  std::memcpy(x.raw(), probe.raw(),
+              sizeof(float) * static_cast<std::size_t>(probe.numel()));
+  fq.on_input(x);
+  const nn::Context ctx{/*train=*/false, &fq};
+  nn::Tensor y = replica->run(x, ctx);
+  EXPECT_EQ(y.numel(), kClasses);
+  return y;
+}
+
+EngineOptions serve_options() {
+  EngineOptions o;
+  o.replicas = 2;
+  o.max_batch = 4;
+  o.batch_delay_us = 200;
+  o.default_deadline_us = 60'000'000;
+  o.queue_capacity = 1024;
+  o.watchdog_period_us = 2'000;
+  return o;
+}
+
 /// Everything the suite needs, built once: a prototype model, two valid
 /// artifact generations (A and B, packed from different weights of the same
 /// architecture), and the quiesced reference output of a fixed probe under
@@ -87,24 +122,8 @@ class HotSwapTest : public ::testing::Test {
     return art;
   }
 
-  /// One-sample forward through a fresh clone serving this artifact —
-  /// exactly what a quiesced engine replica computes.
   static nn::Tensor quiesced_reference(const Artifact& art) {
-    const nn::ModulePtr replica = proto_->clone();
-    std::istringstream mqt1(art.mqt1);
-    const ptq::QuantizedModel qm = ptq::QuantizedModel::load(mqt1);
-    ptq::unpack_weights(*replica, qm, *fmt_,
-                        formats::CorruptionPolicy::kZeroSubstitute);
-    ptq::FakeQuantizer fq(*table_, *fmt_, formats::ScalePolicy::kMaxToUnity);
-    fq.set_input_quantization(true);
-    nn::Tensor x({1, 3, kImg, kImg});
-    std::memcpy(x.raw(), probe_->raw(),
-                sizeof(float) * static_cast<std::size_t>(probe_->numel()));
-    fq.on_input(x);
-    const nn::Context ctx{/*train=*/false, &fq};
-    nn::Tensor y = replica->run(x, ctx);
-    EXPECT_EQ(y.numel(), kClasses);
-    return y;
+    return quiesced_output(*proto_, *table_, *fmt_, art, *probe_);
   }
 
   static void swap(Engine& engine, const Artifact& art) {
@@ -115,17 +134,6 @@ class HotSwapTest : public ::testing::Test {
   static bool matches(const Response& r, const nn::Tensor& ref) {
     return r.output.numel() == ref.numel() &&
            std::memcmp(r.output.raw(), ref.raw(), sizeof(float) * kClasses) == 0;
-  }
-
-  static EngineOptions serve_options() {
-    EngineOptions o;
-    o.replicas = 2;
-    o.max_batch = 4;
-    o.batch_delay_us = 200;
-    o.default_deadline_us = 60'000'000;
-    o.queue_capacity = 1024;
-    o.watchdog_period_us = 2'000;
-    return o;
   }
 
   static void register_m(Engine& engine) {
@@ -427,6 +435,50 @@ TEST_F(HotSwapTest, FormatMismatchRejected) {
       std::runtime_error);
   EXPECT_EQ(engine.artifact_seq("m"), 0u);
   EXPECT_EQ(engine.stats().swap_rejects, 1u);
+}
+
+// ------------------------------------------------------ SE-block models --
+
+// MobileNet_v3-mini and EfficientNet_b0-mini carry SE blocks, whose
+// squeeze/excite Linears run inside the block and never fire a quant hook
+// of their own, so calibrate_model records no entry for them.  The engine's
+// static coverage gate must accept exactly such a table, and the swapped
+// generation must serve what a quiesced replica computes, bit for bit.
+TEST(HotSwapSeModels, CalibratedArtifactsSwapInAndServeBitIdentically) {
+  const std::shared_ptr<const formats::Format> fmt =
+      core::make_format("MERSIT(8,2)");
+  const nn::Dataset calib = nn::make_vision_dataset(16, 3, kImg, /*seed=*/5);
+  nn::Tensor probe({3, kImg, kImg});
+  std::mt19937 prng(17);
+  std::normal_distribution<float> nd(0.f, 1.f);
+  for (std::int64_t i = 0; i < probe.numel(); ++i) probe[i] = nd(prng);
+
+  for (const bool efficientnet : {false, true}) {
+    std::mt19937 rng(21);
+    const nn::ModulePtr model =
+        efficientnet ? nn::make_efficientnet_b0_mini(3, kClasses, rng)
+                     : nn::make_mobilenet_v3_mini(3, kClasses, rng);
+    SCOPED_TRACE(model->path());
+    const ptq::CalibrationTable table = ptq::calibrate_model(*model, calib);
+    Artifact art;
+    std::ostringstream mct1, mqt1;
+    table.save(mct1);
+    ptq::pack_weights(*model, *fmt).save(mqt1);
+    art.mct1 = std::move(mct1).str();
+    art.mqt1 = std::move(mqt1).str();
+    const nn::Tensor ref = quiesced_output(*model, table, *fmt, art, probe);
+
+    Engine engine(serve_options());
+    engine.register_model("m", *model, ModelConfig{{3, kImg, kImg}, true});
+    std::istringstream in_mct1(art.mct1), in_mqt1(art.mqt1);
+    ASSERT_NO_THROW(engine.swap_artifacts("m", in_mct1, in_mqt1, fmt));
+    EXPECT_EQ(engine.artifact_seq("m"), 1u);
+    const Response r = engine.submit("m", probe).get();
+    ASSERT_TRUE(r.ok) << r.error;
+    ASSERT_EQ(r.output.numel(), ref.numel());
+    EXPECT_EQ(std::memcmp(r.output.raw(), ref.raw(), sizeof(float) * kClasses),
+              0);
+  }
 }
 
 }  // namespace
