@@ -1,6 +1,6 @@
 // Inference-runtime benchmark across the model zoo: naive loops vs the GEMM
 // engine packing per call vs the persistent prepacked-weight cache with
-// fused epilogues (and, as a fourth opt-in column, inference-only BN fold).
+// fused BN affine and activation epilogues.
 //
 // For every vision model (and BERT-mini) this times a full forward batch in
 // each mode and cross-checks outputs element by element.  The packed and
@@ -8,15 +8,13 @@
 // exactly — identical packed panels, identical ascending-k accumulation,
 // epilogues applied only at final write-back — so any non-zero ULP distance
 // is a bug and the bench exits nonzero (the CI perf-smoke stage relies on
-// this).  BN folding rescales weights (w' = w*gamma/sigma), which
-// reassociates the rounding, so that column gets a small numeric tolerance
-// instead of the bitwise gate.
+// this).
 //
 // The whole sweep runs at two pool widths (1 and 4 worker threads, via
 // core::resize_global_pool) to demonstrate thread-count invariance of the
 // bit-exact modes and multi-thread scaling of the prepacked path.
 //
-// A fifth column runs the code-domain quantized path (MERSIT_QGEMM=code):
+// A fourth column runs the code-domain quantized path (MERSIT_QGEMM=code):
 // weights stay 8-bit in memory (ptq::install_weight_codes) and the GEMM
 // pack step decodes them through the per-format LUT.  The decode is
 // bit-identical to quantize→dequantize, so the column is gated at max ULP 0
@@ -25,7 +23,7 @@
 // A one-shot Kulisch probe documents the exact-accumulator ULP contract by
 // measuring how far FP32 ascending-k accumulation drifts from the quire.
 //
-// A sixth column runs the decode-free integer path (MERSIT_QGEMM=int8,
+// A fifth column runs the decode-free integer path (MERSIT_QGEMM=int8,
 // INT8 weights): codes are remapped to int8 levels through the affine LUT,
 // activations are quantized to levels at each GEMM boundary, and the
 // accumulation runs in int32 (nn/gemm/qgemm.h documents the ULP contract).
@@ -90,11 +88,6 @@ using namespace mersit;
 
 namespace {
 
-/// BN fold tolerance on the final logits: the rescale is tiny for the
-/// bench's freshly initialized running stats, but downstream layers can
-/// amplify the reassociated rounding a little.
-constexpr float kFoldTol = 2e-3f;
-
 /// Allowance for timer noise in the prepacked >= packed-per-call gate.
 constexpr double kPerfSlack = 1.02;
 
@@ -151,14 +144,6 @@ std::uint32_t max_ulp(const nn::Tensor& a, const nn::Tensor& b) {
   return m;
 }
 
-float max_abs_diff(const nn::Tensor& a, const nn::Tensor& b) {
-  float m = 0.f;
-  const auto da = a.data(), db = b.data();
-  for (std::size_t i = 0; i < da.size(); ++i)
-    m = std::max(m, std::fabs(da[i] - db[i]));
-  return m;
-}
-
 /// Best-of-R wall time for one forward batch, in milliseconds (one untimed
 /// warm-up pass absorbs lazy work — including the one-time weight prepack,
 /// which is exactly what the persistent cache amortizes away).
@@ -183,12 +168,10 @@ struct Row {
   double naive_ms = 0.0;     ///< per forward batch, MERSIT_GEMM=0
   double packed_ms = 0.0;    ///< GEMM engine, repacking weights every call
   double prepacked_ms = 0.0; ///< persistent prepack + fused epilogues
-  double folded_ms = 0.0;    ///< + inference-only BN fold (MERSIT_FOLD_BN)
   double code_ms = 0.0;      ///< 8-bit weight codes, decoded in the pack step
   std::uint32_t packed_ulp = 0;
   std::uint32_t prepacked_ulp = 0;
   std::uint32_t code_ulp = 0;  ///< vs FP32 forward over fake-quantized weights
-  float folded_diff = 0.f;
   std::uint64_t weight_bytes_fp32 = 0;   ///< FP32 footprint of coded weights
   std::uint64_t weight_bytes_codes = 0;  ///< codes + per-channel scales
   // Decode-free integer column (vision models; INT8 weights, quant session
@@ -235,11 +218,6 @@ Row measure(const std::string& name, nn::Module& model, const nn::Tensor& x,
   nn::gemm::set_prepack_enabled(true);
   row.prepacked_ulp = max_ulp(ref, model.forward(x, ctx));
   row.prepacked_ms = time_forward_ms(model, x, reps);
-
-  nn::gemm::set_fold_bn_enabled(true);
-  row.folded_diff = max_abs_diff(ref, model.forward(x, ctx));
-  row.folded_ms = time_forward_ms(model, x, reps);
-  nn::gemm::set_fold_bn_enabled(false);
 
   // Code domain: the bit-identity reference is an FP32 forward over the
   // *fake-quantized* weights (quantize→dequantize in place, then restore);
@@ -501,16 +479,16 @@ struct RunReport {
 
 void print_run(const RunReport& run) {
   std::printf("\n--- %d worker thread(s) ---\n", run.threads);
-  std::printf("%-22s %6s %10s %10s %11s %10s %8s %8s %8s %8s %7s %7s %7s %7s %7s\n",
+  std::printf("%-22s %6s %10s %10s %11s %8s %8s %8s %8s %7s %7s %7s %7s %7s\n",
               "model", "batch", "naive ms", "packed ms", "prepack ms",
-              "folded ms", "code ms", "int8 ms", "vs naive", "vs pack",
-              "i8/code", "ULP pk", "ULP pp", "ULP cd", "w MB");
-  bench::print_rule(152);
+              "code ms", "int8 ms", "vs naive", "vs pack", "i8/code",
+              "ULP pk", "ULP pp", "ULP cd", "w MB");
+  bench::print_rule(141);
   for (const Row& r : run.rows)
-    std::printf("%-22s %6d %10.3f %10.3f %11.3f %10.3f %8.3f %8.3f %7.2fx "
+    std::printf("%-22s %6d %10.3f %10.3f %11.3f %8.3f %8.3f %7.2fx "
                 "%7.2fx %6.2fx %7u %7u %7u %7.2f\n",
                 r.model.c_str(), r.batch, r.naive_ms, r.packed_ms,
-                r.prepacked_ms, r.folded_ms, r.code_ms, r.int8_ms,
+                r.prepacked_ms, r.code_ms, r.int8_ms,
                 r.speedup_vs_naive(), r.speedup_vs_packed(),
                 r.speedup_int8_vs_code(), r.packed_ulp, r.prepacked_ulp,
                 r.code_ulp,
@@ -572,24 +550,22 @@ int write_json(const char* path, const bench::Sizes& sizes,
       std::fprintf(
           f,
           "      {\"model\": \"%s\", \"batch\": %d, \"naive_ms\": %.3f, "
-          "\"packed_ms\": %.3f, \"prepacked_ms\": %.3f, \"folded_ms\": %.3f, "
-          "\"code_ms\": %.3f, "
+          "\"packed_ms\": %.3f, \"prepacked_ms\": %.3f, \"code_ms\": %.3f, "
           "\"speedup_vs_naive\": %.2f, \"speedup_vs_packed\": %.2f, "
           "\"speedup_code_vs_prepacked\": %.2f, "
           "\"prepacked_img_per_s\": %.1f, \"packed_ulp\": %u, "
           "\"prepacked_ulp\": %u, \"code_ulp\": %u, "
           "\"weight_bytes_fp32\": %llu, \"weight_bytes_codes\": %llu, "
-          "\"folded_max_abs_diff\": %.2e, "
           "\"int8_eligible\": %s, \"int8_code_ms\": %.3f, \"int8_ms\": %.3f, "
           "\"speedup_int8_vs_code\": %.2f, \"int8_max_rel_vs_code\": %.2e, "
           "\"int8_top1_delta\": %d}%s\n",
           r.model.c_str(), r.batch, r.naive_ms, r.packed_ms, r.prepacked_ms,
-          r.folded_ms, r.code_ms, r.speedup_vs_naive(), r.speedup_vs_packed(),
+          r.code_ms, r.speedup_vs_naive(), r.speedup_vs_packed(),
           r.speedup_code_vs_prepacked(), r.img_per_s(), r.packed_ulp,
           r.prepacked_ulp, r.code_ulp,
           static_cast<unsigned long long>(r.weight_bytes_fp32),
           static_cast<unsigned long long>(r.weight_bytes_codes),
-          static_cast<double>(r.folded_diff), r.int8_eligible ? "true" : "false",
+          r.int8_eligible ? "true" : "false",
           r.int8_code_ms, r.int8_ms, r.speedup_int8_vs_code(),
           static_cast<double>(r.int8_max_rel), r.int8_top1_delta,
           i + 1 < run.rows.size() ? "," : "");
@@ -630,7 +606,6 @@ int check_json(const char* path) {
       "\"naive_ms\"",
       "\"packed_ms\"",
       "\"prepacked_ms\"",
-      "\"folded_ms\"",
       "\"code_ms\"",
       "\"speedup_vs_naive\"",
       "\"speedup_vs_packed\"",
@@ -641,7 +616,6 @@ int check_json(const char* path) {
       "\"code_ulp\"",
       "\"weight_bytes_fp32\"",
       "\"weight_bytes_codes\"",
-      "\"folded_max_abs_diff\"",
       "\"int8_format\"",
       "\"int8_eligible\"",
       "\"int8_code_ms\"",
@@ -758,7 +732,6 @@ int main(int argc, char** argv) {
   //  * bit-exactness — the packed and prepacked paths must reproduce the
   //    naive outputs to the last bit (max ULP 0), and the code-domain path
   //    must reproduce the fake-quantized FP32 forward to the last bit;
-  //  * BN fold stays within the numeric tolerance;
   //  * perf — on ResNet18-mini the persistent prepack must not lose to
   //    packing per call, and the code-domain path must not lose to
   //    prepacked FP32 (CI perf-smoke regression gates);
@@ -780,15 +753,6 @@ int main(int argc, char** argv) {
                      "(packed ULP %u, prepacked ULP %u; must be 0)\n",
                      r.model.c_str(), run.threads, r.packed_ulp,
                      r.prepacked_ulp);
-        ++bad;
-      }
-      if (r.folded_diff > kFoldTol) {
-        std::fprintf(stderr,
-                     "bench_inference: %s BN-fold diverges at %d thread(s) "
-                     "(max |diff| %.3e > %.1e)\n",
-                     r.model.c_str(), run.threads,
-                     static_cast<double>(r.folded_diff),
-                     static_cast<double>(kFoldTol));
         ++bad;
       }
       if (r.code_ulp > 0) {

@@ -21,7 +21,7 @@ namespace mersit::nn::gemm {
 
 namespace {
 
-// The three switches parse strictly (core::env_flag): unset or empty is the
+// The two switches parse strictly (core::env_flag): unset or empty is the
 // default, "0"/"1" set it, anything else throws naming the variable.
 std::atomic<bool>& enabled_flag() {
   static std::atomic<bool> flag = core::env_flag("MERSIT_GEMM", true);
@@ -30,11 +30,6 @@ std::atomic<bool>& enabled_flag() {
 
 std::atomic<bool>& prepack_flag() {
   static std::atomic<bool> flag = core::env_flag("MERSIT_PREPACK", true);
-  return flag;
-}
-
-std::atomic<bool>& fold_bn_flag() {
-  static std::atomic<bool> flag = core::env_flag("MERSIT_FOLD_BN", false);
   return flag;
 }
 
@@ -269,10 +264,12 @@ bool set_prepack_enabled(bool on) {
   return prepack_flag().exchange(on, std::memory_order_relaxed);
 }
 
-bool fold_bn_enabled() { return fold_bn_flag().load(std::memory_order_relaxed); }
-
 bool set_fold_bn_enabled(bool on) {
-  return fold_bn_flag().exchange(on, std::memory_order_relaxed);
+  if (on)
+    throw std::invalid_argument(
+        "BN weight folding was removed; conv+BN fuses as the bit-exact "
+        "affine write-back");
+  return false;
 }
 
 float epilogue_eval(Epilogue e, float x) {

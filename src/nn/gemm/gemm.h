@@ -69,17 +69,16 @@ namespace mersit::nn::gemm {
 bool set_enabled(bool on);
 
 /// Prepack/fusion switch for the inference-runtime layer: MERSIT_PREPACK=0
-/// makes the layers pack per call and keep explicit activation modules;
-/// unset, empty or 1 enables the prepacked-weight caches and epilogue
-/// fusion.  Any other value throws on first use.
+/// makes the layers pack per call and keep explicit BN and activation
+/// modules; unset, empty or 1 enables the prepacked-weight caches and the
+/// conv+BN+activation write-back fusion.  Any other value throws on first use.
 [[nodiscard]] bool prepack_enabled();
 bool set_prepack_enabled(bool on);
 
-/// Inference-only BatchNorm folding switch (MERSIT_FOLD_BN=1 to enable;
-/// unset, empty or 0 leaves it off; any other value throws on first use).  Folding multiplies conv weights by gamma/sigma before the
-/// GEMM, which reassociates rounding — results are tolerance-equal, not
-/// bit-identical, hence opt-in.
-[[nodiscard]] bool fold_bn_enabled();
+/// Retired: inference-only BN weight folding (MERSIT_FOLD_BN, no longer
+/// read) was tolerance-equal only and never beat the bit-exact BN affine in
+/// the GEMM write-back.  Kept so callers that pin it off still build:
+/// returns false, and throws std::invalid_argument when asked to enable.
 bool set_fold_bn_enabled(bool on);
 
 /// What each C element starts from before the k-summation.

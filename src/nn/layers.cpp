@@ -50,31 +50,43 @@ void check_codes(const WeightCodes& wc, int channels, int per_channel,
                                 ": weight codes do not match the layer shape");
 }
 
-/// Cache identity of the float-weight path: just the active GEMM backend's
-/// id (< 16), so switching MERSIT_BACKEND rebuilds the entry instead of
-/// serving a foreign-layout pack (sgemm would reject it loudly).
-std::uint64_t float_pack_identity() {
-  return static_cast<std::uint64_t>(gemm::active_backend().id);
+/// What a PackCache entry holds: float panels (packed from the FP32
+/// weights, or decoded from codes alongside the decoded array) or int8
+/// level panels with their dequant scales.
+enum class PackKind : std::uint64_t { kFloat = 0, kInt8 = 1 };
+
+/// Cache identity of one PackCache entry.  All entries share the weight
+/// Param's version, so the identity names everything else they were built
+/// from: the process-unique WeightCodes id (0 for the FP32 weights; code
+/// ids are never 0), the entry kind (a mode flip between code and int8 must
+/// not serve the other's panels), a want-packs bit (toggling MERSIT_PREPACK
+/// rebuilds the entry with or without panels instead of serving a packless
+/// one forever), and the active GEMM backend's id (< 16), so switching
+/// MERSIT_BACKEND rebuilds instead of serving a foreign-layout pack (sgemm
+/// would reject it loudly).
+std::uint64_t cache_identity(const WeightCodes* wc, PackKind kind,
+                             bool want_packs) {
+  return ((wc != nullptr ? wc->id : 0) << 6) |
+         (static_cast<std::uint64_t>(kind) << 5) |
+         (static_cast<std::uint64_t>(want_packs) << 4) |
+         static_cast<std::uint64_t>(gemm::active_backend().id);
 }
 
-/// Cache identity of a code-domain entry: the process-unique WeightCodes id
-/// shifted past a two-bit entry kind (1 = code packs, 2 = int8 level packs
-/// — the two builds share a Param version, so the kind must be part of the
-/// key or a mode flip between code and int8 could serve the wrong panels),
-/// a want-packs bit (so toggling MERSIT_PREPACK rebuilds the entry
-/// with/without panels instead of serving a packless one forever), and four
-/// backend-id bits for the same foreign-layout reason as
-/// float_pack_identity.  Never collides with the float path's identities
-/// (< 16): the kind bits make these always >= 32.
-std::uint64_t codes_identity(const WeightCodes& wc, bool want_packs) {
-  return (wc.id << 7) | (std::uint64_t{1} << 5) |
-         (static_cast<std::uint64_t>(want_packs) << 4) | float_pack_identity();
+/// The FP32 image of installed codes: bit-identical to the
+/// quantize→dequantize weights.
+std::vector<float> decoded_weights(const WeightCodes& wc,
+                                   std::size_t per_channel) {
+  std::vector<float> w(wc.codes.size());
+  gemm::decode_codes(wc.codes.data(), wc.codes.size(), wc.lut,
+                     wc.scales.data(), per_channel, w.data());
+  return w;
 }
 
-/// Cache identity of an int8-path entry (kind 2; see codes_identity).
-std::uint64_t int8_identity(const WeightCodes& wc, bool want_packs) {
-  return (wc.id << 7) | (std::uint64_t{2} << 5) |
-         (static_cast<std::uint64_t>(want_packs) << 4) | float_pack_identity();
+/// Per-channel int8 dequant scales AffineLut::scale * WeightCodes::scales[ch].
+std::vector<double> int8_scales(const WeightCodes& wc) {
+  std::vector<double> s(wc.scales.size());
+  for (std::size_t o = 0; o < s.size(); ++o) s[o] = wc.affine->scale * wc.scales[o];
+  return s;
 }
 
 /// Kulisch eligibility for one forward: opt-in mode, exact table available,
@@ -145,129 +157,99 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
                              gemm::Epilogue epi) {
   const int n = x.dim(0);
   if (x.dim(1) != in_) throw std::invalid_argument("Linear: width mismatch");
-  if (const auto wc = active_codes(*this, ctx); wc != nullptr)
-    return forward_codes(x, ctx, wc, epi);
-  Tensor y({n, out_});
-  if (gemm::enabled()) {
-    const gemm::PackedMatrix* pb = nullptr;
-    if (use_prepack(ctx)) {
-      const PackedWeights& cached = packs_.get(weight, float_pack_identity(), [&] {
-        PackedWeights pw;
-        pw.packs.push_back(gemm::pack_b_matrix(in_, out_, weight.value.raw(),
-                                               in_, /*trans_b=*/true));
-        return pw;
-      });
-      pb = cached.packs.data();
+  const auto wc = active_codes(*this, ctx);
+  if (wc != nullptr) {
+    check_codes(*wc, out_, in_, "Linear");
+    if (kulisch_ok(*wc, x)) {
+      // Exact path: recover the activation codes by re-encoding the already
+      // fake-quantized values at their stamped scale (encode(v / scale) is
+      // idempotent on decoded values), then run weight codes × activation
+      // codes through the software quire.
+      const double xscale = x.quant_scale();
+      const double xinv = 1.0 / xscale;
+      std::vector<std::uint8_t> xcodes(static_cast<std::size_t>(n) * in_);
+      const float* xd = x.raw();
+      for (std::size_t i = 0; i < xcodes.size(); ++i)
+        xcodes[i] = wc->encode(static_cast<double>(xd[i]) * xinv);
+      Tensor y({n, out_});
+      const gemm::QOperand a{xcodes.data(), in_, /*trans=*/false, nullptr, xscale};
+      const gemm::QOperand b{wc->codes.data(), in_, /*trans=*/true,
+                             wc->scales.data(), 0.0};
+      gemm::qgemm_kulisch(n, out_, in_, a, b, *wc->kulisch,
+                          gemm::Init::kBiasCol, bias.value.raw(), y.raw(), out_,
+                          epi);
+      return y;
     }
-    // y = x · Wᵀ + b; bias-first then ascending-k accumulation matches the
-    // naive loop's rounding sequence exactly.
-    gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false,
-                weight.value.raw(), in_, /*trans_b=*/true, y.raw(), out_,
-                gemm::Init::kBiasCol, bias.value.raw(), nullptr, epi, nullptr,
-                pb);
-  } else {
-    for (int i = 0; i < n; ++i) {
-      const float* xi = x.raw() + static_cast<std::ptrdiff_t>(i) * in_;
-      for (int o = 0; o < out_; ++o) {
-        const float* w = weight.value.raw() + static_cast<std::ptrdiff_t>(o) * in_;
-        float acc = bias.value[o];
-        for (int j = 0; j < in_; ++j) acc += w[j] * xi[j];
-        y.at(i, o) = gemm::epilogue_eval(epi, acc);
-      }
+    if (int8_ok(*wc, x) && in_ <= gemm::kInt8MaxK) {
+      // Decode-free path: weight codes remap to int8 levels in the pack
+      // step, activations quantize straight to the same level grid at the
+      // GEMM boundary (exact on already-fake-quantized values), and the
+      // kernel accumulates level products in int32 — both operands move as
+      // 8-bit codes and the only float math is the dequant write-back.
+      const gemm::AffineLut& alut = *wc->affine;
+      const double xscale = x.quant_scale();
+      const bool want_packs = use_prepack(ctx);
+      const PackedWeights& cached = packs_.get(
+          weight, cache_identity(wc.get(), PackKind::kInt8, want_packs), [&] {
+            PackedWeights pw;
+            pw.iscales = int8_scales(*wc);
+            if (want_packs)
+              pw.ipacks.push_back(gemm::pack_b_int8_matrix(
+                  in_, out_, wc->codes.data(), in_, /*trans_b=*/true, alut.q));
+            return pw;
+          });
+      Tensor y({n, out_});
+      // Activations ride as a float-source operand: the backend pack fuses
+      // the level quantization into the panel distribution (bit-identical to
+      // a separate quantize_levels pass, no intermediate buffer).
+      gemm::Int8Operand a;
+      a.ld = in_;
+      a.uniform_scale = alut.scale * xscale;
+      a.fsrc = x.raw();
+      a.finv = 1.0 / (alut.scale * xscale);
+      a.flo = alut.qmin;
+      a.fhi = alut.qmax;
+      const gemm::Int8Operand b{wc->codes.data(), in_, /*trans=*/true, alut.q,
+                                cached.iscales.data(), 0.0};
+      gemm::qgemm_int8(n, out_, in_, a, b, gemm::Init::kBiasCol,
+                       bias.value.raw(), y.raw(), out_, nullptr, epi, nullptr,
+                       cached.ipacks.empty() ? nullptr : cached.ipacks.data());
+      return y;
     }
   }
-  if (ctx.train) x_cache_ = x;
-  return y;
-}
-
-Tensor Linear::forward_codes(const Tensor& x, const Context& ctx,
-                             const std::shared_ptr<const WeightCodes>& wc,
-                             gemm::Epilogue epi) {
-  const int n = x.dim(0);
-  check_codes(*wc, out_, in_, "Linear");
-  if (kulisch_ok(*wc, x)) {
-    // Exact path: recover the activation codes by re-encoding the already
-    // fake-quantized values at their stamped scale (encode(v / scale) is
-    // idempotent on decoded values), then run weight codes × activation
-    // codes through the software quire.
-    const double xscale = x.quant_scale();
-    const double xinv = 1.0 / xscale;
-    std::vector<std::uint8_t> xcodes(static_cast<std::size_t>(n) * in_);
-    const float* xd = x.raw();
-    for (std::size_t i = 0; i < xcodes.size(); ++i)
-      xcodes[i] = wc->encode(static_cast<double>(xd[i]) * xinv);
-    Tensor y({n, out_});
-    const gemm::QOperand a{xcodes.data(), in_, /*trans=*/false, nullptr, xscale};
-    const gemm::QOperand b{wc->codes.data(), in_, /*trans=*/true,
-                           wc->scales.data(), 0.0};
-    gemm::qgemm_kulisch(n, out_, in_, a, b, *wc->kulisch,
-                        gemm::Init::kBiasCol, bias.value.raw(), y.raw(), out_,
-                        epi);
-    return y;
-  }
-  if (int8_ok(*wc, x) && in_ <= gemm::kInt8MaxK) {
-    // Decode-free path: weight codes remap to int8 levels in the pack step,
-    // activations quantize straight to the same level grid at the GEMM
-    // boundary (exact on already-fake-quantized values), and the kernel
-    // accumulates level products in int32 — both operands move as 8-bit
-    // codes and the only float math is the dequant write-back.
-    const gemm::AffineLut& alut = *wc->affine;
-    const double xscale = x.quant_scale();
-    const bool want_packs = use_prepack(ctx);
-    const PackedWeights& cached =
-        packs_.get(weight, int8_identity(*wc, want_packs), [&] {
+  // Float body over the live FP32 weights or, in code mode, the codes: the
+  // GEMM operand is then packed straight from the codes, and the decoded
+  // array (bit-identical to the quantize→dequantize weights) serves the
+  // paths that read raw float pointers, so outputs match the float-path
+  // quantized forward exactly.
+  const bool want_packs = gemm::enabled() && use_prepack(ctx);
+  const float* w = weight.value.raw();
+  const gemm::PackedMatrix* pb = nullptr;
+  if (wc != nullptr || want_packs) {
+    const PackedWeights& cached = packs_.get(
+        weight, cache_identity(wc.get(), PackKind::kFloat, want_packs), [&] {
           PackedWeights pw;
-          pw.iscales.resize(wc->scales.size());
-          for (std::size_t o = 0; o < wc->scales.size(); ++o)
-            pw.iscales[o] = alut.scale * wc->scales[o];
+          if (wc != nullptr) pw.decoded = decoded_weights(*wc, in_);
           if (want_packs)
-            pw.ipacks.push_back(gemm::pack_b_int8_matrix(
-                in_, out_, wc->codes.data(), in_, /*trans_b=*/true, alut.q));
+            pw.packs.push_back(
+                wc != nullptr
+                    ? gemm::pack_b_codes(in_, out_, wc->codes.data(), in_,
+                                         /*trans_b=*/true, wc->lut,
+                                         wc->scales.data())
+                    : gemm::pack_b_matrix(in_, out_, weight.value.raw(), in_,
+                                          /*trans_b=*/true));
           return pw;
         });
-    Tensor y({n, out_});
-    // Activations ride as a float-source operand: the backend pack fuses the
-    // level quantization into the panel distribution (bit-identical to a
-    // separate quantize_levels pass, no intermediate buffer).
-    gemm::Int8Operand a;
-    a.ld = in_;
-    a.uniform_scale = alut.scale * xscale;
-    a.fsrc = x.raw();
-    a.finv = 1.0 / (alut.scale * xscale);
-    a.flo = alut.qmin;
-    a.fhi = alut.qmax;
-    const gemm::Int8Operand b{wc->codes.data(), in_, /*trans=*/true, alut.q,
-                              cached.iscales.data(), 0.0};
-    gemm::qgemm_int8(n, out_, in_, a, b, gemm::Init::kBiasCol,
-                     bias.value.raw(), y.raw(), out_, nullptr, epi, nullptr,
-                     cached.ipacks.empty() ? nullptr : cached.ipacks.data());
-    return y;
+    if (wc != nullptr) w = cached.decoded.data();
+    if (!cached.packs.empty()) pb = cached.packs.data();
   }
-  // Code mode: the GEMM operand is packed straight from the codes; the
-  // decoded FP32 array serves the paths that read raw float pointers and is
-  // bit-identical to the quantize→dequantize weights, so outputs match the
-  // float-path quantized forward exactly.
-  const bool want_packs = gemm::enabled() && use_prepack(ctx);
-  const PackedWeights& cached =
-      packs_.get(weight, codes_identity(*wc, want_packs), [&] {
-        PackedWeights pw;
-        pw.decoded.resize(wc->codes.size());
-        gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->lut,
-                           wc->scales.data(), static_cast<std::size_t>(in_),
-                           pw.decoded.data());
-        if (want_packs)
-          pw.packs.push_back(gemm::pack_b_codes(in_, out_, wc->codes.data(),
-                                                in_, /*trans_b=*/true, wc->lut,
-                                                wc->scales.data()));
-        return pw;
-      });
-  const float* w = cached.decoded.data();
   Tensor y({n, out_});
   if (gemm::enabled()) {
+    // y = x · Wᵀ + b; bias-first then ascending-k accumulation matches the
+    // naive loop's rounding sequence exactly.
     gemm::sgemm(n, out_, in_, x.raw(), in_, /*trans_a=*/false, w, in_,
                 /*trans_b=*/true, y.raw(), out_, gemm::Init::kBiasCol,
-                bias.value.raw(), nullptr, epi, nullptr,
-                cached.packs.empty() ? nullptr : cached.packs.data());
+                bias.value.raw(), nullptr, epi, nullptr, pb);
   } else {
     for (int i = 0; i < n; ++i) {
       const float* xi = x.raw() + static_cast<std::ptrdiff_t>(i) * in_;
@@ -279,6 +261,7 @@ Tensor Linear::forward_codes(const Tensor& x, const Context& ctx,
       }
     }
   }
+  if (ctx.train) x_cache_ = x;
   return y;
 }
 
@@ -346,8 +329,6 @@ std::span<float> Conv2d::channel_span(int c) {
   return weight.value.data().subspan(static_cast<std::size_t>(c) * per, per);
 }
 
-namespace {
-
 /// Static geometry of one conv application, shared by the GEMM-lowered
 /// forward and backward.
 struct ConvGeom {
@@ -359,6 +340,8 @@ struct ConvGeom {
   [[nodiscard]] bool unit() const { return k == 1 && stride == 1 && pad == 0; }
   [[nodiscard]] bool depthwise() const { return icg == 1 && ocg == 1; }
 };
+
+namespace {
 
 /// Depthwise forward: kernel-taps-outer / output-x-inner direct loops.  The
 /// inner j loop is contiguous (vectorizable at stride 1) and the per-output
@@ -425,210 +408,117 @@ void conv_forward_sample(const ConvGeom& g, const float* xb, const float* wt,
   }
 }
 
-/// Per-group A-operand packs of a conv weight array ([groups x ocg x kdim]).
-std::vector<gemm::PackedMatrix> pack_conv_weights(const float* wt, int groups,
-                                                  int ocg, int kdim) {
-  std::vector<gemm::PackedMatrix> packs;
-  packs.reserve(static_cast<std::size_t>(groups));
-  for (int grp = 0; grp < groups; ++grp)
-    packs.push_back(gemm::pack_a_matrix(
-        ocg, kdim, wt + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
-        /*trans_a=*/false));
-  return packs;
-}
-
 }  // namespace
+
+ConvGeom Conv2d::geom(const Tensor& x) const {
+  if (x.dim(1) != in_ch_) throw std::invalid_argument("Conv2d: channel mismatch");
+  const int h = x.dim(2), w = x.dim(3);
+  const int oh = (h + 2 * pad_ - k_) / stride_ + 1;
+  const int ow = (w + 2 * pad_ - k_) / stride_ + 1;
+  return {x.dim(0), in_ch_, out_ch_, h,       w,
+          oh,       ow,     k_,      stride_, pad_,
+          groups_,  in_ch_ / groups_, out_ch_ / groups_};
+}
 
 Tensor Conv2d::forward(const Tensor& x, const Context& ctx) {
   return forward_fused(x, ctx, gemm::Epilogue::kNone);
 }
 
 Tensor Conv2d::forward_fused(const Tensor& x, const Context& ctx,
-                             gemm::Epilogue epi) {
-  if (const auto wc = active_codes(*this, ctx); wc != nullptr)
-    return forward_codes(x, ctx, wc, epi);
-  const gemm::PackedMatrix* packs = nullptr;
-  const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-  if (gemm::enabled() && !depthwise && use_prepack(ctx)) {
-    const int icg = in_ch_ / groups_;
-    const int kdim = icg * k_ * k_;
-    const int ocg = out_ch_ / groups_;
-    const PackedWeights& cached = packs_.get(weight, float_pack_identity(), [&] {
-      PackedWeights pw;
-      pw.packs = pack_conv_weights(weight.value.raw(), groups_, ocg, kdim);
-      return pw;
-    });
-    packs = cached.packs.data();
-  }
-  return run_conv(x, ctx, weight.value.raw(), bias.value.raw(), packs, epi);
-}
-
-Tensor Conv2d::forward_bn_fused(const Tensor& x, const Context& ctx,
-                                const BatchNorm2d& bn, gemm::Epilogue epi) {
-  if (bn.folded())
-    throw std::logic_error("Conv2d::forward_bn_fused: BN already folded");
-  if (bn.channels() != out_ch_)
-    throw std::invalid_argument("Conv2d::forward_bn_fused: channel mismatch");
+                             gemm::Epilogue epi, const BatchNorm2d* bn) {
   // The exact per-channel coefficients BatchNorm2d::forward evaluates in
   // inference mode — same expressions, so scale*v + shift reproduces the
   // module pass bit for bit.  Recomputed per forward like the module does;
   // out_ch scalars, negligible next to the GEMM.
-  std::vector<float> sc(static_cast<std::size_t>(out_ch_));
-  std::vector<float> sh(static_cast<std::size_t>(out_ch_));
-  for (int c = 0; c < out_ch_; ++c) {
-    const float inv = 1.f / std::sqrt(bn.running_var[c] + bn.eps());
-    const float scale = bn.gamma.value[c] * inv;
-    sc[static_cast<std::size_t>(c)] = scale;
-    sh[static_cast<std::size_t>(c)] =
-        bn.beta.value[c] - bn.running_mean[c] * scale;
-  }
-  if (const auto wc = active_codes(*this, ctx); wc != nullptr)
-    return forward_codes(x, ctx, wc, epi, sc.data(), sh.data());
-  const gemm::PackedMatrix* packs = nullptr;
-  const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-  if (gemm::enabled() && !depthwise && use_prepack(ctx)) {
-    const int icg = in_ch_ / groups_;
-    const int kdim = icg * k_ * k_;
-    const int ocg = out_ch_ / groups_;
-    const PackedWeights& cached = packs_.get(weight, float_pack_identity(), [&] {
-      PackedWeights pw;
-      pw.packs = pack_conv_weights(weight.value.raw(), groups_, ocg, kdim);
-      return pw;
-    });
-    packs = cached.packs.data();
-  }
-  return run_conv(x, ctx, weight.value.raw(), bias.value.raw(), packs, epi,
-                  sc.data(), sh.data());
-}
-
-Tensor Conv2d::forward_folded(const Tensor& x, const Context& ctx,
-                              const BatchNorm2d& bn, gemm::Epilogue epi) {
-  if (bn.folded()) throw std::logic_error("Conv2d::forward_folded: BN already folded");
-  if (bn.channels() != out_ch_)
-    throw std::invalid_argument("Conv2d::forward_folded: channel mismatch");
-  // Code-domain weights are immutable — there is nothing to fold the BN
-  // into.  The affine write-back path computes the identical conv→BN
-  // result from the codes (bit-identical, where folding is only
-  // tolerance-equal), so delegate.
-  if (active_codes(*this, ctx) != nullptr)
-    return forward_bn_fused(x, ctx, bn, epi);
-  const std::uint64_t wv = weight.version(), bv = bias.version(),
-                      gv = bn.gamma.version(), bev = bn.beta.version();
-  const std::uint64_t bk = static_cast<std::uint64_t>(gemm::active_backend().id);
-  {
-    const std::lock_guard<std::mutex> lock(fold_.mu);
-    if (fold_.wv != wv || fold_.bv != bv || fold_.gv != gv ||
-        fold_.bev != bev || fold_.bk != bk) {
-      const std::size_t per = static_cast<std::size_t>(in_ch_ / groups_) * k_ * k_;
-      fold_.w.assign(weight.value.raw(),
-                     weight.value.raw() + static_cast<std::size_t>(out_ch_) * per);
-      fold_.b.assign(bias.value.raw(), bias.value.raw() + out_ch_);
-      for (int o = 0; o < out_ch_; ++o) {
-        const float inv = 1.f / std::sqrt(bn.running_var[o] + bn.eps());
-        const float scale = bn.gamma.value[o] * inv;
-        float* wo = fold_.w.data() + static_cast<std::size_t>(o) * per;
-        for (std::size_t i = 0; i < per; ++i) wo[i] *= scale;
-        fold_.b[o] = (fold_.b[o] - bn.running_mean[o]) * scale + bn.beta.value[o];
-      }
-      fold_.packs.clear();
-      const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-      if (gemm::enabled() && !depthwise) {
-        const int icg = in_ch_ / groups_;
-        fold_.packs = pack_conv_weights(fold_.w.data(), groups_,
-                                        out_ch_ / groups_, icg * k_ * k_);
-      }
-      fold_.wv = wv;
-      fold_.bv = bv;
-      fold_.gv = gv;
-      fold_.bev = bev;
-      fold_.bk = bk;
+  std::vector<float> sc, sh;
+  if (bn != nullptr) {
+    if (bn->folded())
+      throw std::logic_error("Conv2d::forward_fused: BN already folded");
+    if (bn->channels() != out_ch_)
+      throw std::invalid_argument("Conv2d::forward_fused: BN channel mismatch");
+    sc.resize(static_cast<std::size_t>(out_ch_));
+    sh.resize(static_cast<std::size_t>(out_ch_));
+    for (int c = 0; c < out_ch_; ++c) {
+      const float inv = 1.f / std::sqrt(bn->running_var[c] + bn->eps());
+      const float scale = bn->gamma.value[c] * inv;
+      sc[static_cast<std::size_t>(c)] = scale;
+      sh[static_cast<std::size_t>(c)] =
+          bn->beta.value[c] - bn->running_mean[c] * scale;
     }
   }
-  return run_conv(x, ctx, fold_.w.data(), fold_.b.data(),
-                  fold_.packs.empty() ? nullptr : fold_.packs.data(), epi);
-}
-
-Tensor Conv2d::forward_codes(const Tensor& x, const Context& ctx,
-                             const std::shared_ptr<const WeightCodes>& wc,
-                             gemm::Epilogue epi, const float* bn_scale,
-                             const float* bn_shift) {
-  const int icg = in_ch_ / groups_;
-  const int kdim = icg * k_ * k_;
-  const int ocg = out_ch_ / groups_;
-  check_codes(*wc, out_ch_, kdim, "Conv2d");
-  const bool depthwise = in_ch_ == groups_ && out_ch_ == groups_;
-  if (bn_scale == nullptr && !depthwise && kulisch_ok(*wc, x))
-    return run_conv_kulisch(x, *wc, epi);
-  if (!depthwise && int8_ok(*wc, x) && kdim <= gemm::kInt8MaxK) {
-    // Decode-free path (see Linear::forward_codes).  A fused inference BN
-    // rides the RowAffine write-back, identical to run_conv's fold, so the
-    // Sequential fusion scan needs no special case.  Depthwise stays on the
-    // direct float loops (no GEMM to run in the level domain).
-    const gemm::AffineLut& alut = *wc->affine;
-    const bool want_packs = use_prepack(ctx);
-    const PackedWeights& cached =
-        packs_.get(weight, int8_identity(*wc, want_packs), [&] {
+  const float* bn_scale = bn != nullptr ? sc.data() : nullptr;
+  const float* bn_shift = bn != nullptr ? sh.data() : nullptr;
+  const ConvGeom g = geom(x);
+  const int kdim = g.kdim();
+  const auto wc = active_codes(*this, ctx);
+  if (wc != nullptr) {
+    check_codes(*wc, out_ch_, kdim, "Conv2d");
+    if (bn == nullptr && !g.depthwise() && kulisch_ok(*wc, x))
+      return run_conv_kulisch(x, g, *wc, epi);
+    if (!g.depthwise() && int8_ok(*wc, x) && kdim <= gemm::kInt8MaxK) {
+      // Decode-free path (see Linear::forward_fused).  A fused inference BN
+      // rides the RowAffine write-back, identical to run_conv's.  Depthwise
+      // stays on the direct float loops (no GEMM to run in the level
+      // domain).
+      const bool want_packs = use_prepack(ctx);
+      const PackedWeights& cached = packs_.get(
+          weight, cache_identity(wc.get(), PackKind::kInt8, want_packs), [&] {
+            PackedWeights pw;
+            pw.iscales = int8_scales(*wc);
+            if (want_packs)
+              for (int grp = 0; grp < groups_; ++grp)
+                pw.ipacks.push_back(gemm::pack_a_int8_matrix(
+                    g.ocg, kdim,
+                    wc->codes.data() + static_cast<std::size_t>(grp) * g.ocg * kdim,
+                    kdim, /*trans_a=*/false, wc->affine->q));
+            return pw;
+          });
+      return run_conv_int8(x, g, *wc, cached, epi, bn_scale, bn_shift);
+    }
+  }
+  // Float body over the live FP32 weights or, in code mode, the codes:
+  // packs come straight from the codes, and the decoded array (bit-identical
+  // to quantize→dequantize) feeds the depthwise/naive loops and the
+  // small-problem direct GEMM.
+  const bool want_packs = gemm::enabled() && !g.depthwise() && use_prepack(ctx);
+  const float* wt = weight.value.raw();
+  const gemm::PackedMatrix* packs = nullptr;
+  if (wc != nullptr || want_packs) {
+    const PackedWeights& cached = packs_.get(
+        weight, cache_identity(wc.get(), PackKind::kFloat, want_packs), [&] {
           PackedWeights pw;
-          pw.iscales.resize(wc->scales.size());
-          for (std::size_t o = 0; o < wc->scales.size(); ++o)
-            pw.iscales[o] = alut.scale * wc->scales[o];
-          if (want_packs) {
-            pw.ipacks.reserve(static_cast<std::size_t>(groups_));
-            for (int grp = 0; grp < groups_; ++grp)
-              pw.ipacks.push_back(gemm::pack_a_int8_matrix(
-                  ocg, kdim,
-                  wc->codes.data() + static_cast<std::size_t>(grp) * ocg * kdim,
-                  kdim, /*trans_a=*/false, alut.q));
-          }
+          if (wc != nullptr) pw.decoded = decoded_weights(*wc, kdim);
+          if (want_packs)
+            for (int grp = 0; grp < groups_; ++grp) {
+              const std::size_t off = static_cast<std::size_t>(grp) * g.ocg * kdim;
+              pw.packs.push_back(
+                  wc != nullptr
+                      ? gemm::pack_a_codes(
+                            g.ocg, kdim, wc->codes.data() + off, kdim,
+                            /*trans_a=*/false, wc->lut,
+                            wc->scales.data() + static_cast<std::size_t>(grp) * g.ocg)
+                      : gemm::pack_a_matrix(g.ocg, kdim, weight.value.raw() + off,
+                                            kdim, /*trans_a=*/false));
+            }
           return pw;
         });
-    return run_conv_int8(x, *wc, cached, epi, bn_scale, bn_shift);
+    if (wc != nullptr) wt = cached.decoded.data();
+    if (!cached.packs.empty()) packs = cached.packs.data();
   }
-  // Code mode: packs come straight from the codes; the decoded FP32 array
-  // (bit-identical to quantize→dequantize) feeds the depthwise/naive loops
-  // and the small-problem direct GEMM.
-  const bool want_packs = gemm::enabled() && !depthwise && use_prepack(ctx);
-  const PackedWeights& cached =
-      packs_.get(weight, codes_identity(*wc, want_packs), [&] {
-        PackedWeights pw;
-        pw.decoded.resize(wc->codes.size());
-        gemm::decode_codes(wc->codes.data(), wc->codes.size(), wc->lut,
-                           wc->scales.data(), static_cast<std::size_t>(kdim),
-                           pw.decoded.data());
-        if (want_packs) {
-          pw.packs.reserve(static_cast<std::size_t>(groups_));
-          for (int grp = 0; grp < groups_; ++grp)
-            pw.packs.push_back(gemm::pack_a_codes(
-                ocg, kdim,
-                wc->codes.data() + static_cast<std::size_t>(grp) * ocg * kdim,
-                kdim, /*trans_a=*/false, wc->lut,
-                wc->scales.data() + static_cast<std::size_t>(grp) * ocg));
-        }
-        return pw;
-      });
-  return run_conv(x, ctx, cached.decoded.data(), bias.value.raw(),
-                  cached.packs.empty() ? nullptr : cached.packs.data(), epi,
-                  bn_scale, bn_shift);
+  Tensor y = run_conv(x, g, wt, packs, epi, bn_scale, bn_shift);
+  if (ctx.train) x_cache_ = x;
+  return y;
 }
 
-Tensor Conv2d::run_conv_kulisch(const Tensor& x, const WeightCodes& wc,
-                                gemm::Epilogue epi) {
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  if (x.dim(1) != in_ch_) throw std::invalid_argument("Conv2d: channel mismatch");
-  const int oh = (h + 2 * pad_ - k_) / stride_ + 1;
-  const int ow = (w + 2 * pad_ - k_) / stride_ + 1;
-  const int icg = in_ch_ / groups_;
-  const int ocg = out_ch_ / groups_;
-  const int kdim = icg * k_ * k_;
-  const int osz = oh * ow;
+Tensor Conv2d::run_conv_kulisch(const Tensor& x, const ConvGeom& g,
+                                const WeightCodes& wc, gemm::Epilogue epi) {
+  const int kdim = g.kdim(), osz = g.osz();
   const double xscale = x.quant_scale();
   const double xinv = 1.0 / xscale;
-  Tensor y({n, out_ch_, oh, ow});
-  const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
-                   k_, stride_, pad_,    groups_, icg, ocg};
-  core::global_pool().parallel_for(static_cast<std::size_t>(n), [&](std::size_t b) {
-    const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * h * w;
-    float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * oh * ow;
+  Tensor y({g.n, out_ch_, g.oh, g.ow});
+  core::global_pool().parallel_for(static_cast<std::size_t>(g.n), [&](std::size_t b) {
+    const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * g.h * g.w;
+    float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * osz;
     // The quire path re-reads every element once to encode; plain vectors
     // instead of the float-only ScratchArena (exactness mode, not a hot
     // path).
@@ -636,47 +526,40 @@ Tensor Conv2d::run_conv_kulisch(const Tensor& x, const WeightCodes& wc,
     if (!g.unit()) col.resize(static_cast<std::size_t>(kdim) * osz);
     std::vector<std::uint8_t> ccodes(static_cast<std::size_t>(kdim) * osz);
     for (int grp = 0; grp < groups_; ++grp) {
-      const float* src = xb + static_cast<std::size_t>(grp) * icg * h * w;
+      const float* src = xb + static_cast<std::size_t>(grp) * g.icg * g.h * g.w;
       const float* colp = src;
       if (!g.unit()) {
-        gemm::im2col(src, icg, h, w, k_, stride_, pad_, col.data());
+        gemm::im2col(src, g.icg, g.h, g.w, k_, stride_, pad_, col.data());
         colp = col.data();
       }
       for (std::size_t i = 0; i < ccodes.size(); ++i)
         ccodes[i] = wc.encode(static_cast<double>(colp[i]) * xinv);
       const gemm::QOperand a{
-          wc.codes.data() + static_cast<std::size_t>(grp) * ocg * kdim, kdim,
-          /*trans=*/false, wc.scales.data() + static_cast<std::size_t>(grp) * ocg,
+          wc.codes.data() + static_cast<std::size_t>(grp) * g.ocg * kdim, kdim,
+          /*trans=*/false, wc.scales.data() + static_cast<std::size_t>(grp) * g.ocg,
           0.0};
       const gemm::QOperand bop{ccodes.data(), osz, /*trans=*/false, nullptr,
                                xscale};
-      gemm::qgemm_kulisch(ocg, osz, kdim, a, bop, *wc.kulisch,
+      gemm::qgemm_kulisch(g.ocg, osz, kdim, a, bop, *wc.kulisch,
                           gemm::Init::kBiasRow,
-                          bias.value.raw() + static_cast<std::size_t>(grp) * ocg,
-                          yb + static_cast<std::size_t>(grp) * ocg * osz, osz,
+                          bias.value.raw() + static_cast<std::size_t>(grp) * g.ocg,
+                          yb + static_cast<std::size_t>(grp) * g.ocg * osz, osz,
                           epi);
     }
   });
   return y;
 }
 
-Tensor Conv2d::run_conv_int8(const Tensor& x, const WeightCodes& wc,
-                             const PackedWeights& cached, gemm::Epilogue epi,
-                             const float* bn_scale, const float* bn_shift) {
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  if (x.dim(1) != in_ch_) throw std::invalid_argument("Conv2d: channel mismatch");
-  const int oh = (h + 2 * pad_ - k_) / stride_ + 1;
-  const int ow = (w + 2 * pad_ - k_) / stride_ + 1;
-  const int icg = in_ch_ / groups_;
-  const int ocg = out_ch_ / groups_;
-  const int kdim = icg * k_ * k_;
-  const int osz = oh * ow;
+Tensor Conv2d::run_conv_int8(const Tensor& x, const ConvGeom& g,
+                             const WeightCodes& wc, const PackedWeights& cached,
+                             gemm::Epilogue epi, const float* bn_scale,
+                             const float* bn_shift) {
+  const int n = g.n, h = g.h, w = g.w, icg = g.icg, ocg = g.ocg;
+  const int kdim = g.kdim(), osz = g.osz();
   const gemm::AffineLut& alut = *wc.affine;
   const double xscale = x.quant_scale();
   const double xinv = 1.0 / (alut.scale * xscale);
-  Tensor y({n, out_ch_, oh, ow});
-  const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
-                   k_, stride_, pad_,    groups_, icg, ocg};
+  Tensor y({n, out_ch_, g.oh, g.ow});
   // Batched lowering: sample chunks share one wide column buffer (sample i's
   // columns at offset i*osz, row stride chunk·osz), so each group runs ONE
   // qgemm_int8 of N = chunk·osz columns instead of a per-sample GEMM —
@@ -757,26 +640,19 @@ Tensor Conv2d::run_conv_int8(const Tensor& x, const WeightCodes& wc,
   return y;
 }
 
-Tensor Conv2d::run_conv(const Tensor& x, const Context& ctx, const float* wt,
-                        const float* bs, const gemm::PackedMatrix* group_packs,
+Tensor Conv2d::run_conv(const Tensor& x, const ConvGeom& g, const float* wt,
+                        const gemm::PackedMatrix* group_packs,
                         gemm::Epilogue epi, const float* bn_scale,
                         const float* bn_shift) {
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  if (x.dim(1) != in_ch_) throw std::invalid_argument("Conv2d: channel mismatch");
-  const int oh = (h + 2 * pad_ - k_) / stride_ + 1;
-  const int ow = (w + 2 * pad_ - k_) / stride_ + 1;
-  const int icg = in_ch_ / groups_;
-  const int ocg = out_ch_ / groups_;
-  Tensor y({n, out_ch_, oh, ow});
+  const float* bs = bias.value.raw();
+  Tensor y({g.n, out_ch_, g.oh, g.ow});
   if (gemm::enabled()) {
-    const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
-                     k_, stride_, pad_,    groups_, icg, ocg};
     // Samples are independent; nested calls (e.g. from the parallel PTQ
     // evaluators) run inline, and each sample is computed whole, so the
     // output is invariant to the thread count.
-    core::global_pool().parallel_for(static_cast<std::size_t>(n), [&](std::size_t b) {
-      const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * h * w;
-      float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * oh * ow;
+    core::global_pool().parallel_for(static_cast<std::size_t>(g.n), [&](std::size_t b) {
+      const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * g.h * g.w;
+      float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * g.osz();
       if (g.depthwise()) {
         conv_forward_depthwise(g, xb, wt, bs, yb);
         if (bn_scale != nullptr || epi != gemm::Epilogue::kNone) {
@@ -802,21 +678,21 @@ Tensor Conv2d::run_conv(const Tensor& x, const Context& ctx, const float* wt,
     });
   } else {
     const int kk = k_ * k_;
-    for (int b = 0; b < n; ++b) {
+    for (int b = 0; b < g.n; ++b) {
       for (int o = 0; o < out_ch_; ++o) {
-        const int g = o / ocg;
-        for (int i = 0; i < oh; ++i) {
-          for (int j = 0; j < ow; ++j) {
+        const int grp = o / g.ocg;
+        for (int i = 0; i < g.oh; ++i) {
+          for (int j = 0; j < g.ow; ++j) {
             float acc = bs[o];
-            for (int c = 0; c < icg; ++c) {
-              const int ic = g * icg + c;
-              const float* wo = wt + (static_cast<std::size_t>(o) * icg + c) * kk;
+            for (int c = 0; c < g.icg; ++c) {
+              const int ic = grp * g.icg + c;
+              const float* wo = wt + (static_cast<std::size_t>(o) * g.icg + c) * kk;
               for (int ki = 0; ki < k_; ++ki) {
                 const int yi = i * stride_ + ki - pad_;
-                if (yi < 0 || yi >= h) continue;
+                if (yi < 0 || yi >= g.h) continue;
                 for (int kj = 0; kj < k_; ++kj) {
                   const int xj = j * stride_ + kj - pad_;
-                  if (xj < 0 || xj >= w) continue;
+                  if (xj < 0 || xj >= g.w) continue;
                   acc += wo[ki * k_ + kj] * x.at(b, ic, yi, xj);
                 }
               }
@@ -828,20 +704,16 @@ Tensor Conv2d::run_conv(const Tensor& x, const Context& ctx, const float* wt,
       }
     }
   }
-  if (ctx.train) x_cache_ = x;
   return y;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
   const Tensor& x = x_cache_;
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
-  const int oh = grad_out.dim(2), ow = grad_out.dim(3);
-  const int icg = in_ch_ / groups_;
-  const int ocg = out_ch_ / groups_;
+  const ConvGeom g = geom(x);
+  const int n = g.n, h = g.h, w = g.w, oh = g.oh, ow = g.ow;
+  const int icg = g.icg, ocg = g.ocg;
   Tensor dx(x.shape());
   if (gemm::enabled()) {
-    const ConvGeom g{n,  in_ch_,  out_ch_, h,       w,   oh,  ow,
-                     k_, stride_, pad_,    groups_, icg, ocg};
     const int osz = g.osz(), kdim = g.kdim();
     core::ScratchArena& arena = core::ScratchArena::local();
     const core::ScratchArena::Scope scope(arena);
@@ -896,14 +768,14 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
   }
   for (int b = 0; b < n; ++b) {
     for (int o = 0; o < out_ch_; ++o) {
-      const int g = o / ocg;
+      const int grp = o / ocg;
       for (int i = 0; i < oh; ++i) {
         for (int j = 0; j < ow; ++j) {
           const float go = grad_out.at(b, o, i, j);
           if (go == 0.f) continue;
           bias.grad[o] += go;
           for (int c = 0; c < icg; ++c) {
-            const int ic = g * icg + c;
+            const int ic = grp * icg + c;
             for (int ki = 0; ki < k_; ++ki) {
               const int yi = i * stride_ + ki - pad_;
               if (yi < 0 || yi >= h) continue;
@@ -963,11 +835,6 @@ Tensor BatchNorm2d::forward(const Tensor& x, const Context& ctx) {
       inv_std_[c] = inv;
       running_mean[c] = (1.f - momentum_) * running_mean[c] + momentum_ * mean;
       running_var[c] = (1.f - momentum_) * running_var[c] + momentum_ * var;
-      if (c == 0) {
-        // Running stats moved: stamp gamma so MERSIT_FOLD_BN caches keyed on
-        // this BN rebuild (the stats tensors carry no version of their own).
-        gamma.bump_version();
-      }
       for (int b = 0; b < n; ++b)
         for (int i = 0; i < h; ++i)
           for (int j = 0; j < w; ++j) {
@@ -1232,63 +1099,45 @@ Tensor Sequential::forward(const Tensor& x, const Context& ctx) {
     return cur;
   }
   // Inference-only fusion scan (no quant session, so run() == forward() and
-  // skipping a module loses no hooks): a Conv2d or Linear head absorbs an
-  // already-folded BN (exact identity — saves the pass-through copy), an
-  // unfolded BN — as the bit-identical per-channel affine write-back by
-  // default, or as a weight fold (tolerance-equal) when MERSIT_FOLD_BN is
-  // on — and a trailing fusable Activation (bit-identical fused epilogue).
+  // skipping a module loses no hooks): a Conv2d head absorbs an
+  // already-folded BN (exact identity — saves the pass-through copy) or an
+  // unfolded one (the bit-identical per-channel affine write-back), and a
+  // Conv2d or Linear head absorbs a trailing fusable Activation
+  // (bit-identical fused epilogue).
   Tensor cur = x;
   for (std::size_t i = 0; i < mods_.size();) {
     Module* m = mods_[i].get();
-    if (auto* conv = dynamic_cast<Conv2d*>(m)) {
-      std::size_t j = i + 1;
-      const BatchNorm2d* fold_bn = nullptr;
-      const BatchNorm2d* affine_bn = nullptr;
-      if (j < mods_.size()) {
-        if (auto* bn = dynamic_cast<BatchNorm2d*>(mods_[j].get())) {
-          if (bn->folded()) {
-            ++j;  // identity module: skip it outright
-          } else if (bn->channels() == conv->out_channels()) {
-            (gemm::fold_bn_enabled() ? fold_bn : affine_bn) = bn;
-            ++j;
-          }
-        }
-      }
-      gemm::Epilogue epi = gemm::Epilogue::kNone;
-      if (j < mods_.size()) {  // activation directly after conv[+bn]
-        if (auto* act = dynamic_cast<Activation*>(mods_[j].get())) {
-          if (const auto e = epilogue_for(act->kind());
-              e != gemm::Epilogue::kNone) {
-            epi = e;
-            ++j;
-          }
-        }
-      }
-      cur = fold_bn != nullptr ? conv->forward_folded(cur, ctx, *fold_bn, epi)
-            : affine_bn != nullptr
-                ? conv->forward_bn_fused(cur, ctx, *affine_bn, epi)
-                : conv->forward_fused(cur, ctx, epi);
-      i = j;
+    auto* conv = dynamic_cast<Conv2d*>(m);
+    auto* lin = conv == nullptr ? dynamic_cast<Linear*>(m) : nullptr;
+    if (conv == nullptr && lin == nullptr) {
+      cur = m->run(cur, ctx);
+      ++i;
       continue;
     }
-    if (auto* lin = dynamic_cast<Linear*>(m)) {
-      std::size_t j = i + 1;
-      gemm::Epilogue epi = gemm::Epilogue::kNone;
-      if (j < mods_.size()) {
-        if (auto* act = dynamic_cast<Activation*>(mods_[j].get())) {
-          if (const auto e = epilogue_for(act->kind());
-              e != gemm::Epilogue::kNone) {
-            epi = e;
-            ++j;
-          }
+    std::size_t j = i + 1;
+    const BatchNorm2d* bn = nullptr;
+    if (conv != nullptr && j < mods_.size()) {
+      if (auto* b = dynamic_cast<BatchNorm2d*>(mods_[j].get())) {
+        if (b->folded()) {
+          ++j;  // identity module: skip it outright
+        } else if (b->channels() == conv->out_channels()) {
+          bn = b;
+          ++j;
         }
       }
-      cur = lin->forward_fused(cur, ctx, epi);
-      i = j;
-      continue;
     }
-    cur = m->run(cur, ctx);
-    ++i;
+    gemm::Epilogue epi = gemm::Epilogue::kNone;
+    if (j < mods_.size()) {  // activation directly after conv[+bn] / linear
+      if (auto* act = dynamic_cast<Activation*>(mods_[j].get())) {
+        if (const auto e = epilogue_for(act->kind()); e != gemm::Epilogue::kNone) {
+          epi = e;
+          ++j;
+        }
+      }
+    }
+    cur = conv != nullptr ? conv->forward_fused(cur, ctx, epi, bn)
+                          : lin->forward_fused(cur, ctx, epi);
+    i = j;
   }
   return cur;
 }

@@ -13,6 +13,7 @@
 namespace mersit::nn {
 
 class BatchNorm2d;
+struct ConvGeom;
 
 /// One prepacked-weight cache entry: the GEMM panel packs (one PackedMatrix
 /// per conv group; a single entry for Linear; empty when the build skipped
@@ -71,23 +72,8 @@ class PackCache {
   PackedWeights entry_;
 };
 
-/// Inference-only folded conv+BN weights (MERSIT_FOLD_BN), keyed on the
-/// versions of all four contributing Params.  Same copy semantics as
-/// PackCache.  Fields are populated by Conv2d::forward_folded under `mu`.
-struct FoldCache {
-  FoldCache() = default;
-  FoldCache(const FoldCache&) noexcept {}
-  FoldCache& operator=(const FoldCache&) noexcept { return *this; }
-
-  std::mutex mu;
-  std::uint64_t wv = 0, bv = 0, gv = 0, bev = 0;
-  std::uint64_t bk = ~std::uint64_t{0};    ///< gemm Backend::id of `packs`
-  std::vector<float> w, b;                 ///< folded weight / bias values
-  std::vector<gemm::PackedMatrix> packs;   ///< per-group packs of `w`
-};
-
-/// True when the container fusions (skipping explicit Activation modules,
-/// folding BN) are legal: inference only, and no quant session — the PTQ
+/// True when the container fusions (skipping explicit Activation and BN
+/// modules) are legal: inference only, and no quant session — the PTQ
 /// hooks must observe every intermediate tensor a real accelerator would
 /// spill.  Weight prepacking alone is value-preserving and stays active
 /// under quant sessions; this gate covers the structural fusions.
@@ -100,7 +86,10 @@ class Linear final : public Module, public ChannelWeights {
   [[nodiscard]] std::string name() const override { return "Linear"; }
   Tensor forward(const Tensor& x, const Context& ctx) override;
   /// forward() with a fused activation epilogue; `Epilogue::kNone` is plain
-  /// forward().  In inference the weight panel comes from the prepack cache.
+  /// forward().  In inference the weight panel comes from the prepack cache,
+  /// and installed weight codes (MERSIT_QGEMM != float) replace the FP32
+  /// weights: packed straight from the codes, or run through the Kulisch /
+  /// int8 kernels when eligible.
   Tensor forward_fused(const Tensor& x, const Context& ctx, gemm::Epilogue epi);
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
@@ -115,13 +104,6 @@ class Linear final : public Module, public ChannelWeights {
   Param bias;    ///< [out]
 
  private:
-  /// Code-domain forward: GEMM operands come from `wc` (packed straight
-  /// from the 8-bit codes); the FP32 weight Param is not read.  Dispatches
-  /// to the Kulisch accumulator when eligible under MERSIT_QGEMM=kulisch.
-  Tensor forward_codes(const Tensor& x, const Context& ctx,
-                       const std::shared_ptr<const WeightCodes>& wc,
-                       gemm::Epilogue epi);
-
   int in_, out_;
   Tensor x_cache_;
   PackCache packs_;
@@ -137,20 +119,15 @@ class Conv2d final : public Module, public ChannelWeights {
   [[nodiscard]] std::string name() const override { return "Conv2d"; }
   Tensor forward(const Tensor& x, const Context& ctx) override;
   /// forward() with a fused activation epilogue applied after bias + full
-  /// k-summation (bit-identical to a following Activation module).
-  Tensor forward_fused(const Tensor& x, const Context& ctx, gemm::Epilogue epi);
-  /// Inference-only conv with `bn` fused into the GEMM write-back as the
-  /// per-channel affine it evaluates to (scale[c]*v + shift[c]) — the same
-  /// arithmetic the BatchNorm2d module applies, so the result is
-  /// bit-identical to conv→BN(→act) while skipping both separate passes.
-  /// `bn` must be unfolded and channel-matched.
-  Tensor forward_bn_fused(const Tensor& x, const Context& ctx,
-                          const BatchNorm2d& bn, gemm::Epilogue epi);
-  /// Inference-only conv with `bn` folded into weights/bias on the fly
-  /// (tolerance-equal to conv→BN, not bit-identical; gated by
-  /// MERSIT_FOLD_BN).  `bn` must be unfolded and channel-matched.
-  Tensor forward_folded(const Tensor& x, const Context& ctx,
-                        const BatchNorm2d& bn, gemm::Epilogue epi);
+  /// k-summation (bit-identical to a following Activation module).  With
+  /// `bn` (inference only; unfolded and channel-matched, else throws) the BN
+  /// also rides the GEMM write-back as the per-channel affine it evaluates
+  /// to (scale[c]*v + shift[c], applied before `epi`) — the same arithmetic
+  /// the BatchNorm2d module applies, so the result is bit-identical to
+  /// conv→BN(→act) while skipping both separate passes.  Installed weight
+  /// codes replace the FP32 weights as in Linear::forward_fused.
+  Tensor forward_fused(const Tensor& x, const Context& ctx, gemm::Epilogue epi,
+                       const BatchNorm2d* bn = nullptr);
   Tensor backward(const Tensor& grad_out) override;
   void collect_params(std::vector<Param*>& out) override;
   [[nodiscard]] ModulePtr clone() const override { return std::make_unique<Conv2d>(*this); }
@@ -166,38 +143,31 @@ class Conv2d final : public Module, public ChannelWeights {
   Param bias;    ///< [out]
 
  private:
-  /// Shared forward body: runs the conv with the given weight/bias arrays
-  /// (the live Params or the folded copies), optional per-group packs, and
-  /// an optional fused per-channel affine (bn_scale/bn_shift, out_ch
-  /// entries each, applied before `epi` at write-back).
-  Tensor run_conv(const Tensor& x, const Context& ctx, const float* wt,
-                  const float* bs, const gemm::PackedMatrix* group_packs,
-                  gemm::Epilogue epi, const float* bn_scale = nullptr,
-                  const float* bn_shift = nullptr);
+  /// Geometry of this conv applied to `x`; throws on a channel mismatch.
+  [[nodiscard]] ConvGeom geom(const Tensor& x) const;
 
-  /// Code-domain forward (see Linear::forward_codes): decoded weights and
-  /// per-group packs come from `wc`; bn_scale/bn_shift carry a fused BN
-  /// affine when the caller is forward_bn_fused.
-  Tensor forward_codes(const Tensor& x, const Context& ctx,
-                       const std::shared_ptr<const WeightCodes>& wc,
-                       gemm::Epilogue epi, const float* bn_scale = nullptr,
-                       const float* bn_shift = nullptr);
+  /// Float forward body over the weight array `wt` (the live Param or the
+  /// decoded codes), optional per-group packs, and an optional fused
+  /// per-channel affine (bn_scale/bn_shift, out_ch entries each).
+  Tensor run_conv(const Tensor& x, const ConvGeom& g, const float* wt,
+                  const gemm::PackedMatrix* group_packs, gemm::Epilogue epi,
+                  const float* bn_scale, const float* bn_shift);
   /// Exact-accumulation conv (MERSIT_QGEMM=kulisch): weight codes times
   /// re-encoded activation codes through the software quire.
-  Tensor run_conv_kulisch(const Tensor& x, const WeightCodes& wc,
-                          gemm::Epilogue epi);
+  Tensor run_conv_kulisch(const Tensor& x, const ConvGeom& g,
+                          const WeightCodes& wc, gemm::Epilogue epi);
   /// Decode-free conv (MERSIT_QGEMM=int8 on an affine-LUT format): weight
   /// levels times activation levels in int32, dequant at write-back.
   /// `cached` carries the per-group level packs and fused dequant scales;
   /// bn_scale/bn_shift fold a following inference BN exactly as run_conv.
-  Tensor run_conv_int8(const Tensor& x, const WeightCodes& wc,
-                       const PackedWeights& cached, gemm::Epilogue epi,
-                       const float* bn_scale, const float* bn_shift);
+  Tensor run_conv_int8(const Tensor& x, const ConvGeom& g,
+                       const WeightCodes& wc, const PackedWeights& cached,
+                       gemm::Epilogue epi, const float* bn_scale,
+                       const float* bn_shift);
 
   int in_ch_, out_ch_, k_, stride_, pad_, groups_;
   Tensor x_cache_;
   PackCache packs_;
-  FoldCache fold_;
 };
 
 /// Batch normalization over [N,C,H,W] (per-channel).  Training uses batch

@@ -54,8 +54,8 @@ struct Context {
 /// The version counter stamps the value tensor's mutation history: every
 /// seam that rewrites `value` in place (optimizer steps, per-channel weight
 /// quantization, restore/unpack, BN folding) calls bump_version(), and
-/// derived caches (prepacked GEMM panels, folded-BN weights) record the
-/// version they were built from and rebuild on mismatch.  Reads/writes are
+/// derived caches (prepacked GEMM panels) record the version they were
+/// built from and rebuild on mismatch.  Reads/writes are
 /// atomic so concurrent inference threads may validate a cache while a
 /// (serial) mutator is absent; mutation itself is never concurrent with
 /// forwards.

@@ -700,7 +700,7 @@ class ScopedEnv {
 // default, "0"/"1" set it, and anything else throws naming the variable
 // and the accepted set — MERSIT_GEMM=false must not silently leave GEMM on.
 TEST(GemmEnv, SwitchesAcceptExactlyZeroAndOne) {
-  for (const char* name : {"MERSIT_GEMM", "MERSIT_PREPACK", "MERSIT_FOLD_BN"}) {
+  for (const char* name : {"MERSIT_GEMM", "MERSIT_PREPACK"}) {
     SCOPED_TRACE(name);
     for (const bool fallback : {false, true}) {
       {
@@ -760,9 +760,14 @@ TEST(GemmEnvDeathTest, MalformedSwitchesThrowOnFirstUse) {
   EXPECT_EXIT(
       read_switch_in_child("MERSIT_PREPACK", "no", gemm::prepack_enabled),
       ::testing::ExitedWithCode(3), "MERSIT_PREPACK='no': expected 0 or 1");
-  EXPECT_EXIT(
-      read_switch_in_child("MERSIT_FOLD_BN", "true", gemm::fold_bn_enabled),
-      ::testing::ExitedWithCode(3), "MERSIT_FOLD_BN='true': expected 0 or 1");
+}
+
+// BN weight folding is retired; its setter survives only so callers that
+// pin it off still build, and it must refuse to turn the feature back on.
+TEST(GemmEnv, RetiredFoldBnShimStaysOff) {
+  EXPECT_FALSE(gemm::set_fold_bn_enabled(false));
+  EXPECT_THROW(gemm::set_fold_bn_enabled(true), std::invalid_argument);
+  EXPECT_FALSE(gemm::set_fold_bn_enabled(false));
 }
 
 }  // namespace

@@ -5,13 +5,10 @@
 // The contract under test is strict bit-identity: a prepacked operand is
 // byte-identical to what the per-call path packs, and the fused write-back
 // applies the same per-element formulas the standalone module passes do —
-// so every comparison here demands bitwise equality except the explicitly
-// tolerance-based MERSIT_FOLD_BN path (weight folding reassociates
-// rounding and is opt-in for exactly that reason).
+// so every comparison here demands bitwise equality.
 #include <gtest/gtest.h>
 
 #include <bit>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -22,6 +19,7 @@
 #include "core/scratch_arena.h"
 #include "core/thread_pool.h"
 #include "nn/gemm/gemm.h"
+#include "nn/gemm/qgemm.h"
 #include "nn/layers.h"
 #include "nn/module.h"
 #include "nn/train.h"
@@ -51,11 +49,11 @@ struct PrepackGuard {
   bool prev;
 };
 
-/// Restores the BN-folding switch on scope exit.
-struct FoldGuard {
-  explicit FoldGuard(bool on) : prev(gemm::set_fold_bn_enabled(on)) {}
-  ~FoldGuard() { gemm::set_fold_bn_enabled(prev); }
-  bool prev;
+/// Restores the quantized-GEMM mode on scope exit.
+struct ModeGuard {
+  explicit ModeGuard(gemm::QgemmMode m) : prev(gemm::set_qgemm_mode(m)) {}
+  ~ModeGuard() { gemm::set_qgemm_mode(prev); }
+  gemm::QgemmMode prev;
 };
 
 bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
@@ -64,14 +62,6 @@ bool bitwise_equal(std::span<const float> a, std::span<const float> b) {
     if (std::bit_cast<std::uint32_t>(a[i]) != std::bit_cast<std::uint32_t>(b[i]))
       return false;
   return true;
-}
-
-float max_abs_diff(std::span<const float> a, std::span<const float> b) {
-  EXPECT_EQ(a.size(), b.size());
-  float m = 0.f;
-  for (std::size_t i = 0; i < a.size(); ++i)
-    m = std::max(m, std::fabs(a[i] - b[i]));
-  return m;
 }
 
 std::vector<float> random_vec(std::size_t n, std::mt19937& rng) {
@@ -97,8 +87,6 @@ void randomize_bn(BatchNorm2d& bn, std::mt19937& rng) {
   for (auto& v : bn.beta.value.data()) v = nd(rng);
   for (auto& v : bn.running_mean.data()) v = nd(rng);
   for (auto& v : bn.running_var.data()) v = ud(rng);
-  bn.gamma.bump_version();
-  bn.beta.bump_version();
 }
 
 Tensor eval_forward(Module& m, const Tensor& x) {
@@ -336,25 +324,27 @@ TEST(LayerPrepack, SequentialBnActFusionBitwiseMatchesModulePasses) {
   const Tensor y_warm = eval_forward(*seq, x);
   EXPECT_TRUE(bitwise_equal(y_fused.data(), y_ref.data()));
   EXPECT_TRUE(bitwise_equal(y_fused.data(), y_warm.data()));
-}
 
-TEST(LayerPrepack, FoldBnStaysWithinToleranceOfUnfused) {
-  std::mt19937 rng(23);
-  auto seq = std::make_unique<Sequential>();
-  seq->add("conv", std::make_unique<Conv2d>(3, 16, 3, 1, 1, 1, rng));
-  auto bn = std::make_unique<BatchNorm2d>(16);
-  randomize_bn(*bn, rng);
-  seq->add("bn", std::move(bn));
-  seq->add("act", std::make_unique<Activation>(Act::kReLU));
-  const Tensor x = random_tensor({2, 3, 12, 12}, rng);
-  const Tensor y_ref = unfused_forward(*seq, x);
-  const PrepackGuard pguard(true);
-  const FoldGuard fguard(true);
-  const Tensor y_fold = eval_forward(*seq, x);
-  const Tensor y_warm = eval_forward(*seq, x);  // folded weights are cached
-  // Folding reassociates the rounding, so tolerance — not bitwise.
-  EXPECT_LT(max_abs_diff(y_fold.data(), y_ref.data()), 2e-3f);
-  EXPECT_TRUE(bitwise_equal(y_fold.data(), y_warm.data()));
+  // Code-domain weights, no quant session: the fused chain runs from the
+  // installed MERSIT(8,2) codes and must reproduce the module passes over
+  // the fake-quantized FP32 weights.  Kulisch mode falls back to code here
+  // (a BN is fused into every conv, and no activation scale is stamped).
+  const auto fmt = core::make_format("MERSIT(8,2)");
+  const ModulePtr ref_model = seq->clone();
+  ptq::quantize_weights_per_channel(*ref_model, *fmt,
+                                    formats::ScalePolicy::kMaxToUnity);
+  const Tensor y_qref = unfused_forward(*ref_model, x);
+  ptq::install_weight_codes(*seq, *fmt, formats::ScalePolicy::kMaxToUnity);
+  for (const gemm::QgemmMode mode :
+       {gemm::QgemmMode::kCode, gemm::QgemmMode::kKulisch}) {
+    const ModeGuard mguard(mode);
+    const Tensor y_code = eval_forward(*seq, x);
+    const Tensor y_code_warm = eval_forward(*seq, x);
+    EXPECT_TRUE(bitwise_equal(y_code.data(), y_qref.data()))
+        << static_cast<int>(mode);
+    EXPECT_TRUE(bitwise_equal(y_code.data(), y_code_warm.data()))
+        << static_cast<int>(mode);
+  }
 }
 
 TEST(LayerPrepack, BnFusedForwardRejectsFoldedAndMismatchedBn) {
@@ -363,11 +353,11 @@ TEST(LayerPrepack, BnFusedForwardRejectsFoldedAndMismatchedBn) {
   const Tensor x = random_tensor({1, 3, 8, 8}, rng);
   const Context ctx{};
   BatchNorm2d mismatched(4);
-  EXPECT_THROW(conv.forward_bn_fused(x, ctx, mismatched, gemm::Epilogue::kNone),
+  EXPECT_THROW(conv.forward_fused(x, ctx, gemm::Epilogue::kNone, &mismatched),
                std::invalid_argument);
   BatchNorm2d bn(8);
   bn.fold_into(conv);
-  EXPECT_THROW(conv.forward_bn_fused(x, ctx, bn, gemm::Epilogue::kNone),
+  EXPECT_THROW(conv.forward_fused(x, ctx, gemm::Epilogue::kNone, &bn),
                std::logic_error);
 }
 

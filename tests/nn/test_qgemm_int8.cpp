@@ -630,7 +630,7 @@ TEST(Int8Layer, ConvForwardTakesIntegerPathWithBnAffineAndEpilogue) {
   {
     const ModeGuard mode(gemm::QgemmMode::kInt8);
     y_plain = conv.forward_fused(x, ctx, gemm::Epilogue::kReLU);
-    y_bn = conv.forward_bn_fused(x, ctx, bn, gemm::Epilogue::kReLU);
+    y_bn = conv.forward_fused(x, ctx, gemm::Epilogue::kReLU, &bn);
   }
 
   // Direct reference with the layer's exact operands: per-sample GEMM over
