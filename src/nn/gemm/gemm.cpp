@@ -1,6 +1,6 @@
-// The GEMM driver: env switches, epilogue formulas, cache-blocked tiling,
-// and the prepack machinery.  All register-tile work — packing panels and
-// the micro-kernel — dispatches through the active SIMD backend
+// The GEMM driver: the dispatch switch, epilogue formulas, cache-blocked
+// tiling, and the prepack machinery.  All register-tile work — packing
+// panels and the micro-kernel — dispatches through the active SIMD backend
 // (nn/gemm/backend.h); this TU stays ISA-agnostic.
 #include "nn/gemm/gemm.h"
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "core/aligned.h"
-#include "core/env.h"
 #include "core/scratch_arena.h"
 #include "nn/gemm/backend.h"
 #include "nn/gemm/backend_impl.h"
@@ -21,17 +20,9 @@ namespace mersit::nn::gemm {
 
 namespace {
 
-// The two switches parse strictly (core::env_flag): unset or empty is the
-// default, "0"/"1" set it, anything else throws naming the variable.
-std::atomic<bool>& enabled_flag() {
-  static std::atomic<bool> flag = core::env_flag("MERSIT_GEMM", true);
-  return flag;
-}
-
-std::atomic<bool>& prepack_flag() {
-  static std::atomic<bool> flag = core::env_flag("MERSIT_PREPACK", true);
-  return flag;
-}
+/// The dispatch switch: off only while a test or bench runs the naive
+/// reference loops as its oracle.
+std::atomic<bool> g_enabled{true};
 
 /// Row write-back of completed sums with the epilogue switch hoisted out of
 /// the element loop: each case instantiates epilogue_eval with a constant
@@ -252,16 +243,18 @@ PackedMatrix pack_generic(bool is_a, int other, int K, PackBlockFn&& pack_block)
 
 }  // namespace
 
-bool enabled() { return enabled_flag().load(std::memory_order_relaxed); }
+bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
 
 bool set_enabled(bool on) {
-  return enabled_flag().exchange(on, std::memory_order_relaxed);
+  return g_enabled.exchange(on, std::memory_order_relaxed);
 }
 
-bool prepack_enabled() { return prepack_flag().load(std::memory_order_relaxed); }
-
 bool set_prepack_enabled(bool on) {
-  return prepack_flag().exchange(on, std::memory_order_relaxed);
+  if (!on)
+    throw std::invalid_argument(
+        "the per-call-pack inference mode was removed; inference always "
+        "prepacks and fuses");
+  return true;
 }
 
 bool set_fold_bn_enabled(bool on) {

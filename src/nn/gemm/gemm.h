@@ -30,9 +30,8 @@
 //    panel packing once for a frozen operand (layer weights); sgemm calls
 //    that pass the resulting PackedMatrix skip the per-call pack entirely.
 //    The packed panels are byte-identical to what the per-call path would
-//    build, so prepacked results are bit-identical too.  MERSIT_PREPACK=0
-//    (or set_prepack_enabled(false)) turns the layer-side caches off for
-//    A/B comparisons.
+//    build, so prepacked results are bit-identical too.  Every inference
+//    forward of a non-depthwise Conv2d/Linear serves its weights this way.
 //
 //  * Fused epilogues.  An Epilogue applies an elementwise activation
 //    inside the micro-kernel's final write-back, after the full k-summation
@@ -47,9 +46,9 @@
 //    core::ScratchArena instead of the heap, so steady-state inference
 //    allocates nothing.
 //
-// MERSIT_GEMM=0 in the environment (or set_enabled(false)) routes every
-// layer back to its naive reference loops; the equivalence tests compare
-// the two paths.
+// set_enabled(false) routes every layer back to its naive reference loops;
+// the equivalence tests and the benches' bitwise oracles compare the two
+// paths.
 #pragma once
 
 #include <cstdint>
@@ -60,19 +59,16 @@
 
 namespace mersit::nn::gemm {
 
-/// GEMM dispatch switch: MERSIT_GEMM=0 disables it (naive reference loops);
-/// unset, empty or 1 enables it.  Any other value throws std::runtime_error
-/// on first use, naming the variable (strict, like core::env_flag).
+/// GEMM dispatch switch, process-wide and on by default; off routes the
+/// layers to their naive reference loops (the bitwise oracle).
 [[nodiscard]] bool enabled();
 
 /// Programmatic override (tests, benches); returns the previous value.
 bool set_enabled(bool on);
 
-/// Prepack/fusion switch for the inference-runtime layer: MERSIT_PREPACK=0
-/// makes the layers pack per call and keep explicit BN and activation
-/// modules; unset, empty or 1 enables the prepacked-weight caches and the
-/// conv+BN+activation write-back fusion.  Any other value throws on first use.
-[[nodiscard]] bool prepack_enabled();
+/// Retired: inference always serves weights from the prepack cache and
+/// fuses conv+BN+activation.  Kept so callers that pin it on still build:
+/// returns true, and throws std::invalid_argument when asked to disable.
 bool set_prepack_enabled(bool on);
 
 /// Retired: inference-only BN weight folding (MERSIT_FOLD_BN, no longer

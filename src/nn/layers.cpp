@@ -21,14 +21,6 @@ namespace {
 
 float sigmoidf(float x) { return 1.f / (1.f + std::exp(-x)); }
 
-/// Weight prepacking is value-preserving (the cached panels are
-/// byte-identical to per-call packs), so it stays on under quant sessions —
-/// that is what accelerates the PTQ sweeps.  Only training (weights move
-/// every step) opts out.
-bool use_prepack(const Context& ctx) {
-  return gemm::prepack_enabled() && !ctx.train;
-}
-
 /// The installed code-domain weights, when the layer should run from them:
 /// inference only and MERSIT_QGEMM != float.  The snapshot is taken once
 /// per forward; everything derived (decoded floats, packs, the cache
@@ -59,16 +51,15 @@ enum class PackKind : std::uint64_t { kFloat = 0, kInt8 = 1 };
 /// Param's version, so the identity names everything else they were built
 /// from: the process-unique WeightCodes id (0 for the FP32 weights; code
 /// ids are never 0), the entry kind (a mode flip between code and int8 must
-/// not serve the other's panels), a want-packs bit (toggling MERSIT_PREPACK
-/// rebuilds the entry with or without panels instead of serving a packless
-/// one forever), and the active GEMM backend's id (< 16), so switching
-/// MERSIT_BACKEND rebuilds instead of serving a foreign-layout pack (sgemm
-/// would reject it loudly).
-std::uint64_t cache_identity(const WeightCodes* wc, PackKind kind,
-                             bool want_packs) {
-  return ((wc != nullptr ? wc->id : 0) << 6) |
-         (static_cast<std::uint64_t>(kind) << 5) |
-         (static_cast<std::uint64_t>(want_packs) << 4) |
+/// not serve the other's panels), and the active GEMM backend's id (< 16),
+/// so switching MERSIT_BACKEND rebuilds instead of serving a foreign-layout
+/// pack (sgemm would reject it loudly).  Entries are only built in
+/// inference (weights move every training step), and every entry of a
+/// non-depthwise layer carries its packs — built even while the naive loops
+/// run — so flipping gemm::set_enabled never leaves a pack-less entry.
+std::uint64_t cache_identity(const WeightCodes* wc, PackKind kind) {
+  return ((wc != nullptr ? wc->id : 0) << 5) |
+         (static_cast<std::uint64_t>(kind) << 4) |
          static_cast<std::uint64_t>(gemm::active_backend().id);
 }
 
@@ -127,8 +118,7 @@ gemm::Epilogue epilogue_for(Act a) {
 }  // namespace
 
 bool fuse_inference_ok(const Context& ctx) {
-  return !ctx.train && ctx.quant == nullptr && gemm::enabled() &&
-         gemm::prepack_enabled();
+  return !ctx.train && ctx.quant == nullptr && gemm::enabled();
 }
 
 // ---------------------------------------------------------------- Linear ---
@@ -188,14 +178,12 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
       // 8-bit codes and the only float math is the dequant write-back.
       const gemm::AffineLut& alut = *wc->affine;
       const double xscale = x.quant_scale();
-      const bool want_packs = use_prepack(ctx);
       const PackedWeights& cached = packs_.get(
-          weight, cache_identity(wc.get(), PackKind::kInt8, want_packs), [&] {
+          weight, cache_identity(wc.get(), PackKind::kInt8), [&] {
             PackedWeights pw;
             pw.iscales = int8_scales(*wc);
-            if (want_packs)
-              pw.ipacks.push_back(gemm::pack_b_int8_matrix(
-                  in_, out_, wc->codes.data(), in_, /*trans_b=*/true, alut.q));
+            pw.ipacks.push_back(gemm::pack_b_int8_matrix(
+                in_, out_, wc->codes.data(), in_, /*trans_b=*/true, alut.q));
             return pw;
           });
       Tensor y({n, out_});
@@ -213,7 +201,7 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
                                 cached.iscales.data(), 0.0};
       gemm::qgemm_int8(n, out_, in_, a, b, gemm::Init::kBiasCol,
                        bias.value.raw(), y.raw(), out_, nullptr, epi, nullptr,
-                       cached.ipacks.empty() ? nullptr : cached.ipacks.data());
+                       cached.ipacks.data());
       return y;
     }
   }
@@ -222,26 +210,24 @@ Tensor Linear::forward_fused(const Tensor& x, const Context& ctx,
   // array (bit-identical to the quantize→dequantize weights) serves the
   // paths that read raw float pointers, so outputs match the float-path
   // quantized forward exactly.
-  const bool want_packs = gemm::enabled() && use_prepack(ctx);
   const float* w = weight.value.raw();
   const gemm::PackedMatrix* pb = nullptr;
-  if (wc != nullptr || want_packs) {
+  if (!ctx.train) {
     const PackedWeights& cached = packs_.get(
-        weight, cache_identity(wc.get(), PackKind::kFloat, want_packs), [&] {
+        weight, cache_identity(wc.get(), PackKind::kFloat), [&] {
           PackedWeights pw;
           if (wc != nullptr) pw.decoded = decoded_weights(*wc, in_);
-          if (want_packs)
-            pw.packs.push_back(
-                wc != nullptr
-                    ? gemm::pack_b_codes(in_, out_, wc->codes.data(), in_,
-                                         /*trans_b=*/true, wc->lut,
-                                         wc->scales.data())
-                    : gemm::pack_b_matrix(in_, out_, weight.value.raw(), in_,
-                                          /*trans_b=*/true));
+          pw.packs.push_back(
+              wc != nullptr
+                  ? gemm::pack_b_codes(in_, out_, wc->codes.data(), in_,
+                                       /*trans_b=*/true, wc->lut,
+                                       wc->scales.data())
+                  : gemm::pack_b_matrix(in_, out_, weight.value.raw(), in_,
+                                        /*trans_b=*/true));
           return pw;
         });
     if (wc != nullptr) w = cached.decoded.data();
-    if (!cached.packs.empty()) pb = cached.packs.data();
+    pb = cached.packs.data();
   }
   Tensor y({n, out_});
   if (gemm::enabled()) {
@@ -460,17 +446,15 @@ Tensor Conv2d::forward_fused(const Tensor& x, const Context& ctx,
       // rides the RowAffine write-back, identical to run_conv's.  Depthwise
       // stays on the direct float loops (no GEMM to run in the level
       // domain).
-      const bool want_packs = use_prepack(ctx);
       const PackedWeights& cached = packs_.get(
-          weight, cache_identity(wc.get(), PackKind::kInt8, want_packs), [&] {
+          weight, cache_identity(wc.get(), PackKind::kInt8), [&] {
             PackedWeights pw;
             pw.iscales = int8_scales(*wc);
-            if (want_packs)
-              for (int grp = 0; grp < groups_; ++grp)
-                pw.ipacks.push_back(gemm::pack_a_int8_matrix(
-                    g.ocg, kdim,
-                    wc->codes.data() + static_cast<std::size_t>(grp) * g.ocg * kdim,
-                    kdim, /*trans_a=*/false, wc->affine->q));
+            for (int grp = 0; grp < groups_; ++grp)
+              pw.ipacks.push_back(gemm::pack_a_int8_matrix(
+                  g.ocg, kdim,
+                  wc->codes.data() + static_cast<std::size_t>(grp) * g.ocg * kdim,
+                  kdim, /*trans_a=*/false, wc->affine->q));
             return pw;
           });
       return run_conv_int8(x, g, *wc, cached, epi, bn_scale, bn_shift);
@@ -480,12 +464,12 @@ Tensor Conv2d::forward_fused(const Tensor& x, const Context& ctx,
   // packs come straight from the codes, and the decoded array (bit-identical
   // to quantize→dequantize) feeds the depthwise/naive loops and the
   // small-problem direct GEMM.
-  const bool want_packs = gemm::enabled() && !g.depthwise() && use_prepack(ctx);
+  const bool want_packs = !g.depthwise();
   const float* wt = weight.value.raw();
   const gemm::PackedMatrix* packs = nullptr;
-  if (wc != nullptr || want_packs) {
+  if (!ctx.train && (wc != nullptr || want_packs)) {
     const PackedWeights& cached = packs_.get(
-        weight, cache_identity(wc.get(), PackKind::kFloat, want_packs), [&] {
+        weight, cache_identity(wc.get(), PackKind::kFloat), [&] {
           PackedWeights pw;
           if (wc != nullptr) pw.decoded = decoded_weights(*wc, kdim);
           if (want_packs)
@@ -503,7 +487,7 @@ Tensor Conv2d::forward_fused(const Tensor& x, const Context& ctx,
           return pw;
         });
     if (wc != nullptr) wt = cached.decoded.data();
-    if (!cached.packs.empty()) packs = cached.packs.data();
+    if (want_packs) packs = cached.packs.data();
   }
   Tensor y = run_conv(x, g, wt, packs, epi, bn_scale, bn_shift);
   if (ctx.train) x_cache_ = x;
@@ -621,8 +605,8 @@ Tensor Conv2d::run_conv_int8(const Tensor& x, const ConvGeom& g,
       gemm::qgemm_int8(ocg, ncols, kdim, a, bop, gemm::Init::kBiasRow,
                        bias.value.raw() + static_cast<std::size_t>(grp) * ocg,
                        cdst, ncols, &core::global_pool(), epi,
-                       cached.ipacks.empty() ? nullptr : &cached.ipacks[grp],
-                       nullptr, bn_scale != nullptr ? &aff : nullptr);
+                       &cached.ipacks[grp], nullptr,
+                       bn_scale != nullptr ? &aff : nullptr);
       if (bn > 1) {
         for (int m = 0; m < ocg; ++m) {
           const float* crow = cbuf + static_cast<std::size_t>(m) * ncols;

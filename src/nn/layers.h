@@ -16,8 +16,8 @@ class BatchNorm2d;
 struct ConvGeom;
 
 /// One prepacked-weight cache entry: the GEMM panel packs (one PackedMatrix
-/// per conv group; a single entry for Linear; empty when the build skipped
-/// packing) plus, for code-domain entries, the eagerly decoded FP32 weights
+/// per conv group; a single entry for Linear; empty for depthwise convs,
+/// which run direct loops) plus, for code-domain entries, the eagerly decoded FP32 weights
 /// feeding the paths that read raw float pointers (depthwise/naive loops,
 /// the small-problem direct GEMM, sgemm's shape validation).
 struct PackedWeights {

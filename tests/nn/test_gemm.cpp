@@ -1,6 +1,6 @@
 // Equivalence of the GEMM-lowered inference paths against the naive
-// reference loops (selected with MERSIT_GEMM=0 / gemm::set_enabled(false)),
-// plus thread-count invariance of the blocked kernel itself.
+// reference loops (selected with gemm::set_enabled(false)), plus
+// thread-count invariance of the blocked kernel itself.
 //
 // The GEMM paths are designed to reproduce the naive rounding sequence
 // exactly (fixed ascending-k summation from the same initial value), so the
@@ -15,16 +15,13 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
-#include <optional>
 #include <random>
 #include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "core/env.h"
 #include "core/thread_pool.h"
 #include "nn/attention.h"
 #include "nn/gemm/backend.h"
@@ -98,7 +95,7 @@ void ref_gemm(int M, int N, int K, const float* A, int lda, bool ta,
               gemm::Init init, const float* bias) {
   for (int m = 0; m < M; ++m) {
     for (int n = 0; n < N; ++n) {
-      float acc;
+      float acc = 0.f;
       switch (init) {
         case gemm::Init::kZero: acc = 0.f; break;
         case gemm::Init::kBiasRow: acc = bias[m]; break;
@@ -674,100 +671,16 @@ TEST(GemmEnv, SetEnabledReturnsPreviousValue) {
   EXPECT_EQ(gemm::enabled(), was);
 }
 
-/// Sets (or unsets, for nullptr) an environment variable for one scope.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    if (const char* old = std::getenv(name)) old_ = old;
-    if (value != nullptr)
-      setenv(name, value, 1);
-    else
-      unsetenv(name);
-  }
-  ~ScopedEnv() {
-    if (old_)
-      setenv(name_, old_->c_str(), 1);
-    else
-      unsetenv(name_);
-  }
-
- private:
-  const char* name_;
-  std::optional<std::string> old_;
-};
-
-// The GEMM switches are strict 0/1 flags: unset or empty selects the
-// default, "0"/"1" set it, and anything else throws naming the variable
-// and the accepted set — MERSIT_GEMM=false must not silently leave GEMM on.
-TEST(GemmEnv, SwitchesAcceptExactlyZeroAndOne) {
-  for (const char* name : {"MERSIT_GEMM", "MERSIT_PREPACK"}) {
-    SCOPED_TRACE(name);
-    for (const bool fallback : {false, true}) {
-      {
-        const ScopedEnv env(name, nullptr);
-        EXPECT_EQ(core::env_flag(name, fallback), fallback);
-      }
-      {
-        const ScopedEnv env(name, "");
-        EXPECT_EQ(core::env_flag(name, fallback), fallback);
-      }
-      {
-        const ScopedEnv env(name, "0");
-        EXPECT_FALSE(core::env_flag(name, fallback));
-      }
-      {
-        const ScopedEnv env(name, "1");
-        EXPECT_TRUE(core::env_flag(name, fallback));
-      }
-    }
-    for (const char* bad : {"false", "true", "yes", "off", "01", " 1", "2"}) {
-      const ScopedEnv env(name, bad);
-      try {
-        (void)core::env_flag(name, true);
-        ADD_FAILURE() << "accepted " << name << "='" << bad << "'";
-      } catch (const std::runtime_error& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find(std::string(name) + "='" + bad + "'"),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("expected 0 or 1"), std::string::npos) << what;
-      }
-    }
-  }
-}
-
-// The switches read the environment once, on first use, so each malformed
-// value is exercised in a fresh process (threadsafe death tests re-execute
-// the binary): the first read of the switch must throw, not default.  The
-// child reports the exception through its exit code and stderr.
-[[noreturn]] void read_switch_in_child(const char* name, const char* value,
-                                       bool (*read)()) {
-  setenv(name, value, 1);
-  try {
-    (void)read();
-  } catch (const std::runtime_error& e) {
-    std::fprintf(stderr, "%s\n", e.what());
-    std::_Exit(3);
-  }
-  std::_Exit(0);
-}
-
-TEST(GemmEnvDeathTest, MalformedSwitchesThrowOnFirstUse) {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  EXPECT_EXIT(read_switch_in_child("MERSIT_GEMM", "false", gemm::enabled),
-              ::testing::ExitedWithCode(3),
-              "MERSIT_GEMM='false': expected 0 or 1");
-  EXPECT_EXIT(
-      read_switch_in_child("MERSIT_PREPACK", "no", gemm::prepack_enabled),
-      ::testing::ExitedWithCode(3), "MERSIT_PREPACK='no': expected 0 or 1");
-}
-
-// BN weight folding is retired; its setter survives only so callers that
-// pin it off still build, and it must refuse to turn the feature back on.
+// BN weight folding and the per-call-pack inference mode are retired; their
+// setters survive only so callers that pin them to the one remaining
+// behaviour still build, and they must refuse to bring the old modes back.
 TEST(GemmEnv, RetiredFoldBnShimStaysOff) {
   EXPECT_FALSE(gemm::set_fold_bn_enabled(false));
   EXPECT_THROW(gemm::set_fold_bn_enabled(true), std::invalid_argument);
   EXPECT_FALSE(gemm::set_fold_bn_enabled(false));
+  EXPECT_TRUE(gemm::set_prepack_enabled(true));
+  EXPECT_THROW(gemm::set_prepack_enabled(false), std::invalid_argument);
+  EXPECT_TRUE(gemm::set_prepack_enabled(true));
 }
 
 }  // namespace

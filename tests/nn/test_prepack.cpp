@@ -42,13 +42,6 @@ struct GemmGuard {
   bool prev;
 };
 
-/// Restores the prepack/fusion switch on scope exit.
-struct PrepackGuard {
-  explicit PrepackGuard(bool on) : prev(gemm::set_prepack_enabled(on)) {}
-  ~PrepackGuard() { gemm::set_prepack_enabled(prev); }
-  bool prev;
-};
-
 /// Restores the quantized-GEMM mode on scope exit.
 struct ModeGuard {
   explicit ModeGuard(gemm::QgemmMode m) : prev(gemm::set_qgemm_mode(m)) {}
@@ -94,11 +87,20 @@ Tensor eval_forward(Module& m, const Tensor& x) {
   return m.forward(x, ctx);
 }
 
-/// The reference the fused paths must reproduce: the same module graph run
-/// with prepacking/fusion off (separate conv, BN, activation passes).
-Tensor unfused_forward(Module& m, const Tensor& x) {
-  const PrepackGuard guard(false);
-  return eval_forward(m, x);
+/// A quant session that observes nothing: running under it turns the
+/// structural fusions off without changing any value.
+struct PassThrough final : QuantSession {
+  void on_activation(const Module&, Tensor&) override {}
+};
+
+/// The reference the fused paths must reproduce: a fresh clone of the
+/// module graph run with fusion off (separate conv, BN, activation passes).
+/// The clone starts with an empty pack cache, so the reference never reads
+/// the cache under test.
+Tensor unfused_forward(const Module& m, const Tensor& x) {
+  PassThrough pass;
+  const Context ctx{/*train=*/false, &pass};
+  return m.clone()->forward(x, ctx);
 }
 
 // ------------------------------------------------------------- the kernel --
@@ -277,7 +279,6 @@ TEST(LayerPrepack, ConvAndLinearForwardsBitwiseAcrossPrepackModes) {
       const GemmGuard guard(false);
       y_naive = eval_forward(conv, x);
     }
-    const PrepackGuard guard(true);
     const Tensor y_on = eval_forward(conv, x);
     const Tensor y_warm = eval_forward(conv, x);  // served from the cache
     EXPECT_TRUE(bitwise_equal(y_on.data(), y_off.data())) << c.name;
@@ -287,7 +288,6 @@ TEST(LayerPrepack, ConvAndLinearForwardsBitwiseAcrossPrepackModes) {
   Linear lin(48, 33, rng);
   const Tensor x = random_tensor({4, 48}, rng);
   const Tensor y_off = unfused_forward(lin, x);
-  const PrepackGuard guard(true);
   const Tensor y_on = eval_forward(lin, x);
   const Tensor y_warm = eval_forward(lin, x);
   EXPECT_TRUE(bitwise_equal(y_on.data(), y_off.data()));
@@ -319,7 +319,6 @@ TEST(LayerPrepack, SequentialBnActFusionBitwiseMatchesModulePasses) {
   }
   const Tensor x = random_tensor({2, 3, 10, 10}, rng);
   const Tensor y_ref = unfused_forward(*seq, x);
-  const PrepackGuard guard(true);
   const Tensor y_fused = eval_forward(*seq, x);
   const Tensor y_warm = eval_forward(*seq, x);
   EXPECT_TRUE(bitwise_equal(y_fused.data(), y_ref.data()));
@@ -365,7 +364,6 @@ TEST(LayerPrepack, QuantizeAndRestoreInvalidateStalePacks) {
   std::mt19937 rng(25);
   Conv2d conv(3, 16, 3, 1, 1, 1, rng);
   const Tensor x = random_tensor({2, 3, 12, 12}, rng);
-  const PrepackGuard guard(true);
   const Tensor y0 = eval_forward(conv, x);  // warms the pack cache
   EXPECT_TRUE(bitwise_equal(y0.data(), unfused_forward(conv, x).data()));
 
@@ -388,7 +386,6 @@ TEST(LayerPrepack, OptimizerStepInvalidatesStalePacks) {
   std::mt19937 rng(26);
   Conv2d conv(3, 12, 3, 1, 1, 1, rng);
   const Tensor x = random_tensor({2, 3, 12, 12}, rng);
-  const PrepackGuard guard(true);
   const Tensor y0 = eval_forward(conv, x);  // warms the pack cache
 
   const Context train_ctx{/*train=*/true};
@@ -406,7 +403,6 @@ TEST(LayerPrepack, CloneDoesNotSharePacksWithItsSource) {
   std::mt19937 rng(27);
   Conv2d conv(3, 12, 3, 1, 1, 1, rng);
   const Tensor x = random_tensor({2, 3, 12, 12}, rng);
-  const PrepackGuard guard(true);
   const Tensor y0 = eval_forward(conv, x);  // parent cache is warm
 
   const ModulePtr copy = conv.clone();

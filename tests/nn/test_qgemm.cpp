@@ -59,12 +59,6 @@ struct GemmGuard {
   bool prev;
 };
 
-struct PrepackGuard {
-  explicit PrepackGuard(bool on) : prev(gemm::set_prepack_enabled(on)) {}
-  ~PrepackGuard() { gemm::set_prepack_enabled(prev); }
-  bool prev;
-};
-
 /// Restores the active GEMM backend on scope exit.
 struct BackendGuard {
   explicit BackendGuard(const gemm::Backend& be)
@@ -286,8 +280,8 @@ std::unique_ptr<ptq::CalibrationTable> QgemmModelTest::table_;
 std::unique_ptr<Tensor> QgemmModelTest::probe_;
 
 // install_weight_codes + code mode reproduces the quantize→dequantize FP32
-// forward bit for bit — with the blocked GEMM, with the naive loops, and
-// with prepacking on/off — while leaving the FP32 weights untouched.
+// forward bit for bit — with the blocked GEMM and with the naive loops —
+// while leaving the FP32 weights untouched.
 TEST_F(QgemmModelTest, CodeModeForwardBitIdenticalToQuantizedWeights) {
   for (const char* name : {"MERSIT(8,2)", "FP(8,4)", "Posit(8,1)", "INT8"}) {
     SCOPED_TRACE(name);
@@ -306,10 +300,6 @@ TEST_F(QgemmModelTest, CodeModeForwardBitIdenticalToQuantizedWeights) {
     {
       const ModeGuard mode(gemm::QgemmMode::kCode);
       EXPECT_TRUE(bitwise_equal(quant_forward(*code_model, *fmt), ref));
-      {
-        const PrepackGuard noprepack(false);
-        EXPECT_TRUE(bitwise_equal(quant_forward(*code_model, *fmt), ref));
-      }
       {
         const GemmGuard nogemm(false);
         EXPECT_TRUE(bitwise_equal(quant_forward(*code_model, *fmt), ref));
@@ -480,11 +470,9 @@ TEST(QgemmPackCache, RebuildsWhenCodesChangeWithoutVersionBump) {
   EXPECT_FALSE(bitwise_equal(fresh.forward(x, ctx), want));
 }
 
-// Toggling MERSIT_PREPACK must also rebuild the entry (the want-packs bit
-// of the identity): a pack-less entry cached under prepack-off is not
-// served once prepacking is back on, and both configurations stay
-// bit-identical anyway.
-TEST(QgemmPackCache, PrepackToggleKeepsForwardBitIdentical) {
+// Toggling the GEMM engine reuses one cache entry: the naive loops build it
+// with its packs, and the engine then serves those panels bit-identically.
+TEST(QgemmPackCache, GemmToggleKeepsForwardBitIdentical) {
   const ModeGuard mode(gemm::QgemmMode::kCode);
   std::mt19937 rng(5);
   Linear lin(24, 12, rng);
@@ -494,16 +482,12 @@ TEST(QgemmPackCache, PrepackToggleKeepsForwardBitIdentical) {
   const auto fmt = core::make_format("MERSIT(8,2)");
   ptq::install_weight_codes(lin, *fmt, formats::ScalePolicy::kMaxToUnity);
 
-  Tensor off_result, on_result;
+  Tensor naive_result;
   {
-    const PrepackGuard off(false);
-    off_result = lin.forward(x, ctx);
+    const GemmGuard off(false);
+    naive_result = lin.forward(x, ctx);
   }
-  {
-    const PrepackGuard on(true);
-    on_result = lin.forward(x, ctx);
-  }
-  EXPECT_TRUE(bitwise_equal(off_result, on_result));
+  EXPECT_TRUE(bitwise_equal(naive_result, lin.forward(x, ctx)));
 }
 
 // ------------------------------------------------------------ Kulisch mode --

@@ -93,7 +93,7 @@ TEST_F(SweepResumeTest, CorruptCellRecomputesAndHealsCheckpoint) {
   }
   // Corrupt one cell three ways across reruns: truncation, garbage, and a
   // valid-looking file holding the wrong key.
-  for (const std::string bad :
+  for (const std::string& bad :
        {std::string("{\"key\":\"cell a\",\"name\":\"row-a\",\"fp32\":9"),
         std::string("!!not json!!"),
         std::string("{\"key\":\"other\",\"name\":\"x\",\"fp32\":1,\"metrics\":[]}\n")}) {
