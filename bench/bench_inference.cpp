@@ -41,8 +41,12 @@
 // (MERSIT_BACKEND registry: scalar/avx2/avx512/neon), cross-checking each
 // backend's logits bitwise against the scalar backend — the backends
 // promise the identical ascending-k rounding sequence, so any ULP distance
-// is a bug.  The report records the per-backend latencies, the
-// best-vs-scalar geomean, and the largest single-model speedup.
+// is a bug.  Backends alternate forward by forward (one model clone each,
+// order reversed every other rep), and each model's best-vs-scalar speedup
+// is the median of its paired per-rep ratios.  The report records the
+// per-backend latencies, each model's speedup (the efficient nets' ones
+// show what the SIMD elementwise entry buys outside the GEMM), their
+// geomean, and the largest single-model speedup.
 //
 // Flags: --json=PATH writes the per-model latency/speedup report consumed
 // by EXPERIMENTS.md ("Prepacked inference", "Code-domain inference",
@@ -58,7 +62,8 @@
 // Perf gates: on ResNet18-mini the median of the paired per-rep
 // code/prepacked ratios must stay within a measurement-noise allowance (the
 // code-domain path must not regress against prepacked FP32); the detected
-// backend must not lose to scalar on the sweep geomean; and in full sizing
+// backend must not lose to scalar on the geomean of the per-model median
+// paired ratios; and in full sizing
 // at least one vision model must clear a 1.5x single-thread best-vs-scalar
 // speedup (the SIMD backends must pay for their dispatch).  A regression
 // exits nonzero.
@@ -406,7 +411,9 @@ KulischProbe kulisch_probe() {
 struct BackendRun {
   std::string backend;
   bool active = false;            ///< the backend auto-detection picked
-  std::vector<double> model_ms;   ///< parallel to BackendSweep::models
+  std::vector<double> model_ms;   ///< best sample, parallel to models
+  /// Median of the paired per-rep scalar/this-backend ratios, per model.
+  std::vector<double> speedup_vs_scalar;
   std::uint32_t max_ulp_vs_scalar = 0;  ///< bitwise gate: must be 0
 };
 
@@ -418,85 +425,104 @@ struct BackendSweep {
   std::string max_speedup_model;
 };
 
-/// Times the prepacked FP32 forward of each vision model once per
+/// Times the prepacked FP32 forward of each vision model under every
 /// compiled-in backend the host supports, single-threaded, cross-checking
-/// logits bitwise against the scalar backend.  The prepacked-weight cache
-/// keys on the backend id, so switching backends rebuilds the panels in the
-/// untimed warm-up pass — exactly the hot-swap path serving exercises.
+/// logits bitwise against the scalar backend.  Timing is interleaved: each
+/// backend forwards its own clone of the model (a PackCache holds one
+/// backend's panels, so the clones stay warm), one forward per backend per
+/// rep over kPairReps reps, with the backend order reversed every other rep
+/// so host drift lands on every side alike.  A model's speedup is the
+/// median of its per-rep scalar/backend ratios; model_ms is the best sample.
 template <typename Zoo>
-BackendSweep backend_sweep(Zoo& zoo, const nn::Tensor& x, int reps) {
+BackendSweep backend_sweep(Zoo& zoo, const nn::Tensor& x) {
   BackendSweep sweep;
   core::resize_global_pool(1);
   nn::gemm::set_enabled(true);
   const nn::gemm::Backend& detected = nn::gemm::active_backend();
   const nn::Context ctx;
-  // Scalar is last in detection order, so collect the bitwise references
-  // up front with an explicit scalar pass.
-  const nn::gemm::Backend* prev =
-      nn::gemm::set_backend(&nn::gemm::scalar_backend());
-  std::vector<nn::Tensor> scalar_ref;
-  for (std::size_t i = 0; i < zoo.size(); ++i) {
-    sweep.models.push_back(zoo[i].name);
-    scalar_ref.push_back(zoo[i].model->forward(x, ctx));
-  }
-  for (const nn::gemm::Backend* be : nn::gemm::backends()) {
-    if (!be->supported()) continue;
-    nn::gemm::set_backend(be);
+  std::vector<const nn::gemm::Backend*> bes;
+  for (const nn::gemm::Backend* be : nn::gemm::backends())
+    if (be->supported()) bes.push_back(be);
+  const std::size_t nb = bes.size();  // scalar is last (detection order)
+  for (const nn::gemm::Backend* be : bes) {
     BackendRun run;
     run.backend = be->name;
     run.active = be == &detected;
-    for (std::size_t i = 0; i < zoo.size(); ++i) {
-      run.max_ulp_vs_scalar = std::max(
-          run.max_ulp_vs_scalar,
-          max_ulp(scalar_ref[i], zoo[i].model->forward(x, ctx)));
-      run.model_ms.push_back(time_forward_ms(*zoo[i].model, x, reps));
-    }
     sweep.runs.push_back(std::move(run));
   }
-  nn::gemm::set_backend(prev);
-
-  // Scalar runs last (detection order), so its timings close the list; the
-  // best backend is the detected one.  Compare best vs scalar per model.
-  const BackendRun* scalar = nullptr;
-  const BackendRun* best = nullptr;
-  for (const BackendRun& r : sweep.runs) {
-    if (r.backend == "scalar") scalar = &r;
-    if (r.active) best = &r;
+  for (std::size_t i = 0; i < zoo.size(); ++i) {
+    sweep.models.push_back(zoo[i].name);
+    std::vector<nn::ModulePtr> clones;
+    std::vector<nn::Tensor> outs;
+    for (const nn::gemm::Backend* be : bes) {
+      nn::gemm::set_backend(be);
+      clones.push_back(zoo[i].model->clone());
+      outs.push_back(clones.back()->forward(x, ctx));  // warms the packs
+    }
+    std::vector<std::vector<double>> ms(nb);
+    for (int r = 0; r < kPairReps; ++r)
+      for (std::size_t k = 0; k < nb; ++k) {
+        const std::size_t b = r % 2 == 0 ? k : nb - 1 - k;
+        nn::gemm::set_backend(bes[b]);
+        ms[b].push_back(forward_ms(*clones[b], x, ctx));
+      }
+    for (std::size_t b = 0; b < nb; ++b) {
+      BackendRun& run = sweep.runs[b];
+      run.max_ulp_vs_scalar =
+          std::max(run.max_ulp_vs_scalar, max_ulp(outs[nb - 1], outs[b]));
+      run.model_ms.push_back(*std::min_element(ms[b].begin(), ms[b].end()));
+      std::vector<double> ratios;
+      for (int r = 0; r < kPairReps; ++r)
+        ratios.push_back(ms[nb - 1][static_cast<std::size_t>(r)] /
+                         ms[b][static_cast<std::size_t>(r)]);
+      const auto mid = ratios.begin() + kPairReps / 2;
+      std::nth_element(ratios.begin(), mid, ratios.end());
+      run.speedup_vs_scalar.push_back(*mid);
+    }
   }
-  if (scalar != nullptr && best != nullptr) {
+  nn::gemm::set_backend(&detected);
+
+  // The best backend is the detected one: geomean of its per-model median
+  // ratios against scalar, and its largest single-model ratio.
+  for (const BackendRun& r : sweep.runs) {
+    if (!r.active || r.backend == "scalar") continue;
     double log_sum = 0.0;
-    int n = 0;
     for (std::size_t i = 0; i < sweep.models.size(); ++i) {
-      if (best->model_ms[i] <= 0.0) continue;
-      const double s = scalar->model_ms[i] / best->model_ms[i];
+      const double s = r.speedup_vs_scalar[i];
       log_sum += std::log(s);
-      ++n;
       if (s > sweep.max_speedup_best_vs_scalar) {
         sweep.max_speedup_best_vs_scalar = s;
         sweep.max_speedup_model = sweep.models[i];
       }
     }
-    sweep.geomean_best_vs_scalar = n > 0 ? std::exp(log_sum / n) : 0.0;
+    if (!sweep.models.empty())
+      sweep.geomean_best_vs_scalar =
+          std::exp(log_sum / static_cast<double>(sweep.models.size()));
   }
   return sweep;
 }
 
 void print_backend_sweep(const BackendSweep& sweep) {
-  std::printf("\n--- SIMD backend sweep (1 thread, prepacked ms; host: %s) ---\n",
-              core::cpu_feature_summary().c_str());
+  std::printf("\n--- SIMD backend sweep (1 thread, prepacked ms, best of %d "
+              "interleaved reps; host: %s) ---\n",
+              kPairReps, core::cpu_feature_summary().c_str());
   std::printf("%-22s", "model");
   for (const BackendRun& r : sweep.runs)
     std::printf(" %9s%s", r.backend.c_str(), r.active ? "*" : " ");
-  std::printf("\n");
-  bench::print_rule(22 + 11 * static_cast<int>(sweep.runs.size()));
+  std::printf(" %10s\n", "best/scal");
+  bench::print_rule(33 + 11 * static_cast<int>(sweep.runs.size()));
   for (std::size_t i = 0; i < sweep.models.size(); ++i) {
     std::printf("%-22s", sweep.models[i].c_str());
-    for (const BackendRun& r : sweep.runs)
+    double best = 1.0;
+    for (const BackendRun& r : sweep.runs) {
       std::printf(" %9.3f ", r.model_ms[i]);
-    std::printf("\n");
+      if (r.active) best = r.speedup_vs_scalar[i];
+    }
+    std::printf(" %9.2fx\n", best);
   }
-  std::printf("best-vs-scalar geomean %.2fx; peak %.2fx on %s "
-              "(* = detected backend)\n",
+  std::printf("best/scal = median of the paired per-rep scalar/detected "
+              "ratios; geomean %.2fx; peak %.2fx on %s (* = detected "
+              "backend)\n",
               sweep.geomean_best_vs_scalar, sweep.max_speedup_best_vs_scalar,
               sweep.max_speedup_model.c_str());
 }
@@ -554,8 +580,11 @@ int write_json(const char* path, const bench::Sizes& sizes,
                  r.backend.c_str(), r.active ? "true" : "false",
                  r.max_ulp_vs_scalar);
     for (std::size_t i = 0; i < sweep.models.size(); ++i)
-      std::fprintf(f, "%s{\"model\": \"%s\", \"prepacked_ms\": %.3f}",
-                   i > 0 ? ", " : "", sweep.models[i].c_str(), r.model_ms[i]);
+      std::fprintf(f,
+                   "%s{\"model\": \"%s\", \"prepacked_ms\": %.3f, "
+                   "\"speedup_vs_scalar\": %.2f}",
+                   i > 0 ? ", " : "", sweep.models[i].c_str(), r.model_ms[i],
+                   r.speedup_vs_scalar[i]);
     std::fprintf(f, "]}%s\n", b + 1 < sweep.runs.size() ? "," : "");
   }
   std::fprintf(f, "  ]},\n");
@@ -622,6 +651,7 @@ int check_json(const char* path) {
       "\"geomean_best_vs_scalar\"",
       "\"max_speedup_best_vs_scalar\"",
       "\"max_ulp_vs_scalar\"",
+      "\"speedup_vs_scalar\"",
       "\"qgemm_format\"",
       "\"kulisch_probe\"",
       "\"fp32_max_ulp_vs_exact\"",
@@ -732,7 +762,7 @@ int main(int argc, char** argv) {
     runs.push_back(std::move(run));
   }
 
-  const BackendSweep sweep = backend_sweep(zoo, vision_x, reps);
+  const BackendSweep sweep = backend_sweep(zoo, vision_x);
   print_backend_sweep(sweep);
 
   const KulischProbe kp = kulisch_probe();

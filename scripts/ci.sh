@@ -40,13 +40,15 @@ run_suite build
 
 # SIMD backend self-check: the registry's CPUID detection must activate a
 # backend this host can actually execute (--backends exits nonzero
-# otherwise), and the GEMM suites must pass under the forced scalar
-# reference as well as under the auto-detected backend (the per-backend
-# bitwise gates inside the suites cover every other compiled-in backend).
+# otherwise), and the GEMM, elementwise-entry and depthwise suites must pass
+# under the forced scalar reference as well as under the auto-detected
+# backend (the per-backend bitwise gates inside the suites cover every other
+# compiled-in backend).
 echo "==> SIMD backend self-check (--backends)"
 ./build/bench/bench_inference --backends
 echo "==> GEMM suites under MERSIT_BACKEND=scalar"
-MERSIT_BACKEND=scalar ./build/tests/test_concurrency --gtest_filter='Gemm*'
+MERSIT_BACKEND=scalar ./build/tests/test_concurrency \
+  --gtest_filter='Gemm*:Elementwise*:Depthwise*'
 MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack.*:Int8*'
 
 # Perf smoke: the Release bench runs every model through all four modes
@@ -65,8 +67,10 @@ MERSIT_BACKEND=scalar ./build/tests/test_qgemm --gtest_filter='QgemmPack.*:Int8*
 #    VGG16-mini additionally applies in full sizing),
 #  * no usable Kulisch table for the code format,
 #  * a SIMD backend diverging bitwise from scalar in the backend sweep, or
-#    the detected backend losing to scalar on the sweep geomean (the 1.5x
-#    single-model speedup bar additionally applies in full sizing).
+#    the detected backend losing to scalar on the geomean of the per-model
+#    medians of paired scalar/detected ratios (the backends alternate
+#    forward by forward; the 1.5x single-model speedup bar additionally
+#    applies in full sizing).
 # The --check_json pass guards the committed BENCH_inference.json against
 # schema drift, same as the serving report below.
 echo "==> perf smoke (bench_inference, fast sizing)"
@@ -99,7 +103,10 @@ MERSIT_BENCH_FAST=1 ./build/bench/fig7_mac_area_power --json=build/BENCH_fig7.js
 
 # The ASan/UBSan stage runs the full suite, so the fake-quantize kernel
 # suites (KernelEquivalence / KernelVariants in test_concurrency, the sweep
-# in test_kernel_sweep) run sanitized on every variant the host executes.
+# in test_kernel_sweep) run sanitized on every variant the host executes,
+# and so do Depthwise.* (test_concurrency: the depthwise kernel's border
+# reads over every k/stride/pad/shape in its matrix), Elementwise.* and the
+# exhaustive exp sweep (test_exp_sweep).
 # The vector lanes gather unmasked; their indices are the ones the scalar
 # variant loads through instrumented pointers, so an index that left its
 # table would surface here as a heap-buffer-overflow.

@@ -3,9 +3,9 @@
 // One Backend descriptor per instruction set — scalar (the reference),
 // avx2, avx512 on x86-64, neon on aarch64 — each bundling the micro-kernel,
 // the panel-pack routines (float, code-domain and int8), the int8 level
-// quantizer, and its tile geometry (MR/NR register tile, MC/KC/NC cache
-// blocks).  The registry is
-// CPUID-backed: auto-detection walks the compiled-in list best-first and
+// quantizer, the elementwise activation entry, and its tile geometry (MR/NR
+// register tile, MC/KC/NC cache blocks).  The registry is CPUID-backed:
+// auto-detection walks the compiled-in list best-first and
 // activates the first backend the host can execute; MERSIT_BACKEND forces a
 // specific one, strict-parsed (unknown names and backends the host cannot
 // run both throw).
@@ -28,6 +28,12 @@
 //    only on k order, never on MR/NR/cache blocking — test_gemm gates every
 //    compiled-in backend bitwise against scalar across the full shape/
 //    transpose/strided-C/thread-count matrix.
+//
+//  * Elementwise results are bit-identical to scalar.  The activation
+//    epilogues (and the exp inside SiLU) are one formula set written over a
+//    lane type (backend_impl.h): the same separately rounded operations per
+//    lane at every width, selects instead of branches, no libm call.  A NaN
+//    result stays NaN; only its payload bits may differ between widths.
 //
 // Because pack layouts differ across tile geometries, a PackedMatrix
 // records the backend it was packed for, sgemm rejects operands packed for
@@ -140,6 +146,16 @@ struct Backend {
   /// Byte-identical across backends (test_qgemm_int8 gates it).
   void (*quantize_levels)(const float* x, std::size_t n, double inv, int lo,
                           int hi, std::int8_t* out);
+
+  /// The elementwise entry behind gemm::epilogue_apply: dst[i] =
+  /// epilogue_eval(e, affine ? scale*src[i] + shift : src[i]).  Every
+  /// backend evaluates the one formula set of backend_impl.h (the in-repo
+  /// exp included) at its own lane width — scalar element by element, the
+  /// SIMD backends as W-float vectors in their -m/-ffp-contract=off TUs — so
+  /// each non-NaN result is bit-identical to scalar and NaN stays NaN
+  /// (test_elementwise gates every backend).  src == dst is allowed.
+  void (*elementwise)(Epilogue e, const float* src, float* dst, std::size_t n,
+                      const ScalarAffine* affine);
 };
 
 /// Compiled-in backends in detection order: best first, scalar last (scalar

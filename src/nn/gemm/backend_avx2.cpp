@@ -35,6 +35,8 @@ namespace {
 
 constexpr int kMR = 6;
 constexpr int kNR = 16;
+/// Elementwise lane width: one ymm of floats.
+constexpr int kLanes = 8;
 
 bool supported() { return core::cpu_features().avx2; }
 
@@ -110,11 +112,8 @@ void kernel_rows(int kc, const float* ap, const float* bp, float* c, int ldc,
     alignas(32) float tmp[kNR];
     for (int m = 0; m < R; ++m) {
       for (int j = 0; j < C; ++j) _mm256_store_ps(tmp + 8 * j, acc[m][j]);
-      if (asc != nullptr) {
-        const float s = asc[m], t = ash[m];
-        for (int n = 0; n < nr; ++n) tmp[n] = s * tmp[n] + t;
-      }
-      epilogue_apply(epi, tmp, c + static_cast<std::size_t>(m) * ldc, nr);
+      detail::write_back_row<kLanes>(
+          tmp, c + static_cast<std::size_t>(m) * ldc, nr, epi, asc, ash, m);
     }
   }
 }
@@ -139,8 +138,8 @@ void micro(int kc, const float* ap, const float* bp, float* c, int ldc,
     case 2: kernel_cols<2>(kc, ap, bp, c, ldc, nr, epi, asc, ash); return;
     case 1: kernel_cols<1>(kc, ap, bp, c, ldc, nr, epi, asc, ash); return;
     default:
-      detail::micro_generic<kMR, kNR>(kc, ap, bp, c, ldc, mr, nr, epi, asc,
-                                      ash);
+      detail::micro_generic<kMR, kNR, kLanes>(kc, ap, bp, c, ldc, mr, nr, epi,
+                                              asc, ash);
   }
 }
 
@@ -277,6 +276,7 @@ constexpr Backend kAvx2 = {
     pack_a_codes,     pack_b_codes,   micro,
     /*kg8=*/kKG8,     pack_a_int8,    pack_b_int8,  micro_int8,
     pack_a_int8_f32,  pack_b_int8_f32,  quantize_levels_vec,
+    detail::elementwise_lanes<kLanes>,
 };
 
 }  // namespace

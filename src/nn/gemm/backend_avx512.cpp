@@ -35,6 +35,8 @@ namespace {
 
 constexpr int kMR = 8;
 constexpr int kNR = 16;
+/// Elementwise lane width: one zmm of floats.
+constexpr int kLanes = 16;
 
 bool supported() { return core::cpu_features().avx512f; }
 
@@ -90,11 +92,8 @@ void kernel_rows(int kc, const float* ap, const float* bp, float* c, int ldc,
     alignas(64) float tmp[kNR];
     for (int m = 0; m < R; ++m) {
       _mm512_store_ps(tmp, acc[m]);
-      if (asc != nullptr) {
-        const float s = asc[m], t = ash[m];
-        for (int n = 0; n < nr; ++n) tmp[n] = s * tmp[n] + t;
-      }
-      epilogue_apply(epi, tmp, c + static_cast<std::size_t>(m) * ldc, nr);
+      detail::write_back_row<kLanes>(
+          tmp, c + static_cast<std::size_t>(m) * ldc, nr, epi, asc, ash, m);
     }
   }
 }
@@ -112,8 +111,8 @@ void micro(int kc, const float* ap, const float* bp, float* c, int ldc,
     case 2: kernel_rows<2>(kc, ap, bp, c, ldc, nr, mask, epi, asc, ash); return;
     case 1: kernel_rows<1>(kc, ap, bp, c, ldc, nr, mask, epi, asc, ash); return;
     default:
-      detail::micro_generic<kMR, kNR>(kc, ap, bp, c, ldc, mr, nr, epi, asc,
-                                      ash);
+      detail::micro_generic<kMR, kNR, kLanes>(kc, ap, bp, c, ldc, mr, nr, epi,
+                                              asc, ash);
   }
 }
 
@@ -259,6 +258,7 @@ constexpr Backend kAvx512 = {
     pack_a_codes,       pack_b_codes,   micro,
     /*kg8=*/kKG8,       pack_a_int8,    pack_b_int8,  micro_int8,
     pack_a_int8_f32,    pack_b_int8_f32,    quantize_levels_vec,
+    detail::elementwise_lanes<kLanes>,
 };
 
 }  // namespace

@@ -18,13 +18,25 @@
 //    float(lut[code] * scale) — one double multiply, one float cast — the
 //    same expression decode_codes evaluates;
 //  * the per-row affine is v = scale[m]*v + shift[m] (two roundings), then
-//    the epilogue via the shared epilogue_apply.
+//    the epilogue, both through the TU's own elementwise_lanes<W> below;
+//  * every elementwise formula (epilogues, the in-repo exp) is written once,
+//    over a lane type that is plain float in the scalar reference and a GCC
+//    vector of W floats in the SIMD TUs: the same IEEE operations in the
+//    same order per lane, selects instead of branches, no libm call (GELU's
+//    tanh aside, which runs lane by lane), so every width rounds alike.
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <type_traits>
+
+#if defined(__AVX2__)
+#include <immintrin.h>
+#endif
 
 #include "nn/gemm/backend.h"
 #include "nn/gemm/qgemm.h"
@@ -41,6 +53,220 @@ using QuantizeLevelsFn = void (*)(const float* x, std::size_t n, double inv,
 /// TU's instruction set can leak into it.
 void quantize_levels_scalar(const float* x, std::size_t n, double inv, int lo,
                             int hi, std::int8_t* out);
+
+// --- Elementwise formulas ---------------------------------------------------
+
+/// Lane types of the elementwise kernels: W floats and their uint32 bit
+/// images.  W = 1 is plain scalar code (the reference); W > 1 are GCC vector
+/// extensions, which compile to the TU's -m instruction set.
+template <int W>
+struct Lanes {
+  typedef float F __attribute__((vector_size(4 * W)));
+  typedef std::uint32_t U __attribute__((vector_size(4 * W)));
+};
+template <>
+struct Lanes<1> {
+  using F = float;
+  using U = std::uint32_t;
+};
+
+#if defined(__AVX2__)
+/// Lanes [0, len) of an AVX2 maskload/maskstore mask.
+inline __m256i avx2_lane_mask(std::size_t len) {
+  return _mm256_cmpgt_epi32(_mm256_set1_epi32(static_cast<int>(len)),
+                            _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+}
+#endif
+
+/// c in every lane (c - 0 is exact for every float, -0 included).
+template <typename F>
+inline F splat(float c) {
+  return c - F{};
+}
+
+// Range of the in-repo exp: above kExpHi std::exp overflows to +inf; below
+// kExpLo it rounds to +0.
+inline constexpr float kExpHi = 88.72283172607421875f;
+inline constexpr float kExpLo = -103.972076416015625f;
+
+/// The in-repo float exp, branch-free: clamp to [kExpLo, kExpHi]; k =
+/// RNE(x·log2 e) by the 1.5·2^23 magic-constant add (k is read back from the
+/// sum's mantissa bits — no float→int conversion, so NaN and inf never meet
+/// one); r = x − k·ln 2 by two-constant Cody-Waite reduction (k·kLn2Hi is
+/// exact for |k| < 2^15); the Cephes expf polynomial on r; and 2^k applied
+/// as two exponent-bit scales 2^⌊k/2⌋·2^(k−⌊k/2⌋), so results down to the
+/// denormals round once.  Inputs past the clamp select +inf / +0, NaN stays
+/// NaN.  Separate multiplies and adds only (the TUs compile with
+/// -ffp-contract=off).  Within 1 ULP of glibc's expf over every float
+/// (test_elementwise sweeps them all).
+template <typename F, typename U>
+inline F exp_lanes(F x) {
+  constexpr float kLog2e = 1.44269502162933349609375f;
+  constexpr float kMagic = 12582912.f;  // 1.5·2^23: RNE to an integer
+  constexpr float kLn2Hi = 0.693359375f;
+  constexpr float kLn2Lo = -2.12194440e-4f;
+  const F hi = splat<F>(kExpHi);
+  const F lo = splat<F>(kExpLo);
+  F xc = x > hi ? hi : x;
+  xc = xc < lo ? lo : xc;
+  const F t = xc * kLog2e + kMagic;
+  const F kf = t - kMagic;
+  // t lies in [2^23, 2^24), where the mantissa counts integers: k is the
+  // bit distance from the magic constant (mod 2^32; garbage only for NaN).
+  const U k = std::bit_cast<U>(t) - std::bit_cast<std::uint32_t>(kMagic);
+  F r = xc - kf * kLn2Hi;
+  r = r - kf * kLn2Lo;
+  F p = splat<F>(1.9875691500e-4f);
+  p = p * r + 1.3981999507e-3f;
+  p = p * r + 8.3334519073e-3f;
+  p = p * r + 4.1665795894e-2f;
+  p = p * r + 1.6666665459e-1f;
+  p = p * r + 5.0000001201e-1f;
+  F y = p * (r * r);
+  y = y + r;
+  y = y + 1.f;
+  // k1 = k >> 1 with sign extension, k2 = k - k1; both within [-75, 64],
+  // so 2^k1 and 2^k2 are normal floats built straight from exponent bits.
+  const U k1 = (k >> 1) | (k & 0x80000000u);
+  const U k2 = k - k1;
+  const F s1 = std::bit_cast<F>((k1 + 127u) << 23);
+  const F s2 = std::bit_cast<F>((k2 + 127u) << 23);
+  F e = (y * s1) * s2;
+  e = x > hi ? splat<F>(HUGE_VALF) : e;
+  e = x < lo ? F{} : e;
+  return e;
+}
+
+/// 1 / (1 + exp(-x)) — the SE gate, Act::kSigmoid and the SiLU factor.
+template <typename F, typename U>
+inline F sigmoid_lanes(F x) {
+  return 1.f / (1.f + exp_lanes<F, U>(-x));
+}
+
+/// The fusable activations, one definition each (epilogue_eval is the W = 1
+/// instance).  ReLU, ReLU6 and HardSwish are selects; NaN takes the same
+/// arm as the branchy forms did (ReLU → 0, ReLU6/HardSwish → NaN).
+template <Epilogue E, typename F, typename U>
+inline F epilogue_lanes(F x) {
+  if constexpr (E == Epilogue::kReLU) {
+    return x > F{} ? x : F{};
+  } else if constexpr (E == Epilogue::kReLU6) {
+    const F six = splat<F>(6.f);
+    return x < F{} ? F{} : (x > six ? six : x);
+  } else if constexpr (E == Epilogue::kSiLU) {
+    return x * sigmoid_lanes<F, U>(x);
+  } else if constexpr (E == Epilogue::kHardSwish) {
+    const F three = splat<F>(3.f);
+    const F mid = x * (x + 3.f) / 6.f;
+    const F r = x >= three ? x : mid;
+    return x <= -three ? F{} : r;
+  } else if constexpr (E == Epilogue::kGELU) {
+    static_assert(std::is_same_v<F, float>, "GELU runs lane by lane");
+    const float u = 0.7978845608f * (x + 0.044715f * x * x * x);
+    return 0.5f * x * (1.f + std::tanh(u));
+  } else {
+    return x;
+  }
+}
+
+/// The first len (< W) floats at p as a lane vector, the other lanes 0 —
+/// and the matching partial store.  The AVX-512 and AVX2 TUs use masked
+/// loads/stores (short planes hit this tail on every call, and a
+/// variable-length memcpy costs a library call); elsewhere memcpy.
+template <int W, typename F>
+inline F load_partial(const float* p, std::size_t len) {
+#if defined(__AVX512F__)
+  if constexpr (W == 16)
+    return std::bit_cast<F>(
+        _mm512_maskz_loadu_ps(static_cast<__mmask16>((1u << len) - 1u), p));
+#endif
+#if defined(__AVX2__)
+  if constexpr (W == 8)
+    return std::bit_cast<F>(_mm256_maskload_ps(p, avx2_lane_mask(len)));
+#endif
+  F v{};
+  std::memcpy(&v, p, len * sizeof(float));
+  return v;
+}
+
+template <int W, typename F>
+inline void store_partial(float* p, F v, std::size_t len) {
+#if defined(__AVX512F__)
+  if constexpr (W == 16) {
+    _mm512_mask_storeu_ps(p, static_cast<__mmask16>((1u << len) - 1u),
+                          std::bit_cast<__m512>(v));
+    return;
+  }
+#endif
+#if defined(__AVX2__)
+  if constexpr (W == 8) {
+    _mm256_maskstore_ps(p, avx2_lane_mask(len), std::bit_cast<__m256>(v));
+    return;
+  }
+#endif
+  std::memcpy(p, &v, len * sizeof(float));
+}
+
+/// dst[i] = E(s·src[i] + t) (the affine only when A), W lanes at a time; the
+/// tail runs as one partial vector.  Each block is loaded before it is
+/// stored, so src == dst is safe.
+template <int W, Epilogue E, bool A>
+void elementwise_run(const float* src, float* dst, std::size_t n, float s,
+                     float t) {
+  constexpr int kW = E == Epilogue::kGELU ? 1 : W;  // tanh has no lanes
+  using F = typename Lanes<kW>::F;
+  using U = typename Lanes<kW>::U;
+  const auto eval = [&](F v) {
+    if constexpr (A) v = s * v + t;
+    return epilogue_lanes<E, F, U>(v);
+  };
+  std::size_t i = 0;
+  for (; i + kW <= n; i += kW) {
+    F v;
+    std::memcpy(&v, src + i, sizeof v);
+    v = eval(v);
+    std::memcpy(dst + i, &v, sizeof v);
+  }
+  if (i < n)
+    store_partial<kW>(dst + i, eval(load_partial<kW, F>(src + i, n - i)),
+                      n - i);
+}
+
+template <int W, bool A>
+void elementwise_switch(Epilogue e, const float* src, float* dst,
+                        std::size_t n, float s, float t) {
+  switch (e) {
+    case Epilogue::kNone:
+      elementwise_run<W, Epilogue::kNone, A>(src, dst, n, s, t);
+      return;
+    case Epilogue::kReLU:
+      elementwise_run<W, Epilogue::kReLU, A>(src, dst, n, s, t);
+      return;
+    case Epilogue::kReLU6:
+      elementwise_run<W, Epilogue::kReLU6, A>(src, dst, n, s, t);
+      return;
+    case Epilogue::kSiLU:
+      elementwise_run<W, Epilogue::kSiLU, A>(src, dst, n, s, t);
+      return;
+    case Epilogue::kHardSwish:
+      elementwise_run<W, Epilogue::kHardSwish, A>(src, dst, n, s, t);
+      return;
+    case Epilogue::kGELU:
+      elementwise_run<W, Epilogue::kGELU, A>(src, dst, n, s, t);
+      return;
+  }
+}
+
+/// Backend::elementwise at lane width W.  A null affine with kNone copies
+/// (or is a no-op in place).
+template <int W>
+void elementwise_lanes(Epilogue e, const float* src, float* dst,
+                       std::size_t n, const ScalarAffine* affine) {
+  if (affine != nullptr)
+    elementwise_switch<W, true>(e, src, dst, n, affine->scale, affine->shift);
+  else if (e != Epilogue::kNone || src != dst)
+    elementwise_switch<W, false>(e, src, dst, n, 0.f, 0.f);
+}
 
 inline float a_elem(const float* a, int lda, bool trans, int m, int k) {
   return trans ? a[static_cast<std::size_t>(k) * lda + m]
@@ -529,11 +755,23 @@ void micro_int8_generic(int kc, const std::int8_t* ap, const std::int8_t* bp,
   }
 }
 
+/// Fused write-back of one finished C row: row m's affine (when asc is
+/// set) then the epilogue, through the TU's W-lane elementwise kernel.
+template <int W>
+inline void write_back_row(const float* acc, float* c, int n, Epilogue epi,
+                           const float* asc, const float* ash, int m) {
+  const ScalarAffine aff{asc != nullptr ? asc[m] : 0.f,
+                         asc != nullptr ? ash[m] : 0.f};
+  elementwise_lanes<W>(epi, acc, c, static_cast<std::size_t>(n),
+                       asc != nullptr ? &aff : nullptr);
+}
+
 /// Generic MR x NR micro-kernel (full and edge tiles in one entry point):
 /// load C, accumulate kc products in ascending k order, write back with the
-/// optional per-row affine then epilogue.  Constant trip counts on the full-
-/// tile path so the inner n-loop auto-vectorizes under the TU's -m flags.
-template <int MR, int NR>
+/// optional per-row affine then epilogue (W: the TU's elementwise lane
+/// width).  Constant trip counts on the full-tile path so the inner n-loop
+/// auto-vectorizes under the TU's -m flags.
+template <int MR, int NR, int W>
 void micro_generic(int kc, const float* ap, const float* bp, float* c, int ldc,
                    int mr, int nr, Epilogue epi, const float* asc,
                    const float* ash) {
@@ -555,13 +793,9 @@ void micro_generic(int kc, const float* ap, const float* bp, float* c, int ldc,
         for (int n = 0; n < NR; ++n)
           c[static_cast<std::size_t>(m) * ldc + n] = acc[m][n];
     } else {
-      for (int m = 0; m < MR; ++m) {
-        if (asc != nullptr) {
-          const float s = asc[m], t = ash[m];
-          for (int n = 0; n < NR; ++n) acc[m][n] = s * acc[m][n] + t;
-        }
-        epilogue_apply(epi, acc[m], c + static_cast<std::size_t>(m) * ldc, NR);
-      }
+      for (int m = 0; m < MR; ++m)
+        write_back_row<W>(acc[m], c + static_cast<std::size_t>(m) * ldc, NR,
+                          epi, asc, ash, m);
     }
     return;
   }
@@ -581,13 +815,9 @@ void micro_generic(int kc, const float* ap, const float* bp, float* c, int ldc,
       for (int n = 0; n < NR; ++n) acc[m][n] += a * bv[n];
     }
   }
-  for (int m = 0; m < mr; ++m) {
-    if (asc != nullptr) {
-      const float s = asc[m], t = ash[m];
-      for (int n = 0; n < nr; ++n) acc[m][n] = s * acc[m][n] + t;
-    }
-    epilogue_apply(epi, acc[m], c + static_cast<std::size_t>(m) * ldc, nr);
-  }
+  for (int m = 0; m < mr; ++m)
+    write_back_row<W>(acc[m], c + static_cast<std::size_t>(m) * ldc, nr, epi,
+                      asc, ash, m);
 }
 
 }  // namespace mersit::nn::gemm::detail

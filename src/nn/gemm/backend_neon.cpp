@@ -27,6 +27,8 @@ namespace {
 
 constexpr int kMR = 6;
 constexpr int kNR = 8;
+/// Elementwise lane width: one q-register of floats.
+constexpr int kLanes = 4;
 
 bool supported() { return core::cpu_features().neon; }
 
@@ -95,16 +97,8 @@ void kernel_rows(int kc, const float* ap, const float* bp, float* c, int ldc,
     float tmp[kNR];
     for (int m = 0; m < R; ++m) {
       for (int j = 0; j < C; ++j) vst1q_f32(tmp + 4 * j, acc[m][j]);
-      if (asc != nullptr) {
-        const float s = asc[m], t = ash[m];
-        for (int n = 0; n < nr; ++n) tmp[n] = s * tmp[n] + t;
-      }
-      if (epi == Epilogue::kNone && asc == nullptr) {
-        float* row = c + static_cast<std::size_t>(m) * ldc;
-        for (int n = 0; n < nr; ++n) row[n] = tmp[n];
-      } else {
-        epilogue_apply(epi, tmp, c + static_cast<std::size_t>(m) * ldc, nr);
-      }
+      detail::write_back_row<kLanes>(
+          tmp, c + static_cast<std::size_t>(m) * ldc, nr, epi, asc, ash, m);
     }
   }
 }
@@ -129,8 +123,8 @@ void micro(int kc, const float* ap, const float* bp, float* c, int ldc,
     case 2: kernel_cols<2>(kc, ap, bp, c, ldc, nr, epi, asc, ash); return;
     case 1: kernel_cols<1>(kc, ap, bp, c, ldc, nr, epi, asc, ash); return;
     default:
-      detail::micro_generic<kMR, kNR>(kc, ap, bp, c, ldc, mr, nr, epi, asc,
-                                      ash);
+      detail::micro_generic<kMR, kNR, kLanes>(kc, ap, bp, c, ldc, mr, nr, epi,
+                                              asc, ash);
   }
 }
 
@@ -242,6 +236,7 @@ constexpr Backend kNeon = {
     pack_a_codes,     pack_b_codes,   micro,
     /*kg8=*/kKG8,     pack_a_int8,    pack_b_int8,  micro_int8,
     pack_a_int8_f32,  pack_b_int8_f32,  detail::quantize_levels_scalar,
+    detail::elementwise_lanes<kLanes>,
 };
 
 }  // namespace

@@ -42,6 +42,31 @@ void quantize_levels_scalar(const float* x, std::size_t n, double inv, int lo,
 
 }  // namespace detail
 
+// The elementwise references live here, in the baseline-flags
+// -ffp-contract=off TU: the W = 1 instances of the backend_impl.h formulas.
+float exp_eval(float x) {
+  return detail::exp_lanes<float, std::uint32_t>(x);
+}
+
+float sigmoid_eval(float x) {
+  return detail::sigmoid_lanes<float, std::uint32_t>(x);
+}
+
+float epilogue_eval(Epilogue e, float x) {
+  using detail::epilogue_lanes;
+  using U = std::uint32_t;
+  switch (e) {
+    case Epilogue::kNone: return x;
+    case Epilogue::kReLU: return epilogue_lanes<Epilogue::kReLU, float, U>(x);
+    case Epilogue::kReLU6: return epilogue_lanes<Epilogue::kReLU6, float, U>(x);
+    case Epilogue::kSiLU: return epilogue_lanes<Epilogue::kSiLU, float, U>(x);
+    case Epilogue::kHardSwish:
+      return epilogue_lanes<Epilogue::kHardSwish, float, U>(x);
+    case Epilogue::kGELU: return epilogue_lanes<Epilogue::kGELU, float, U>(x);
+  }
+  return x;
+}
+
 namespace {
 
 constexpr int kMR = 4;
@@ -75,7 +100,8 @@ void pack_b_codes(const std::uint8_t* b, int ldb, bool trans,
 
 void micro(int kc, const float* ap, const float* bp, float* c, int ldc,
            int mr, int nr, Epilogue epi, const float* asc, const float* ash) {
-  detail::micro_generic<kMR, kNR>(kc, ap, bp, c, ldc, mr, nr, epi, asc, ash);
+  detail::micro_generic<kMR, kNR, 1>(kc, ap, bp, c, ldc, mr, nr, epi, asc,
+                                     ash);
 }
 
 // Int8 path: the generic templates at KG = 1 *are* the scalar reference the
@@ -121,6 +147,7 @@ constexpr Backend kScalar = {
     pack_a_codes,       pack_b_codes,   micro,
     /*kg8=*/kKG8,       pack_a_int8,    pack_b_int8,  micro_int8,
     pack_a_int8_f32,    pack_b_int8_f32,    detail::quantize_levels_scalar,
+    detail::elementwise_lanes<1>,
 };
 
 }  // namespace

@@ -1,4 +1,4 @@
-// The GEMM driver: the dispatch switch, epilogue formulas, cache-blocked
+// The GEMM driver: the dispatch switch, the elementwise entry, cache-blocked
 // tiling, and the prepack machinery.  All register-tile work — packing
 // panels and the micro-kernel — dispatches through the active SIMD backend
 // (nn/gemm/backend.h); this TU stays ISA-agnostic.
@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -23,29 +22,6 @@ namespace {
 /// The dispatch switch: off only while a test or bench runs the naive
 /// reference loops as its oracle.
 std::atomic<bool> g_enabled{true};
-
-/// Row write-back of completed sums with the epilogue switch hoisted out of
-/// the element loop: each case instantiates epilogue_eval with a constant
-/// kind, so the per-element switch folds away and the clamp-style cases
-/// (ReLU/ReLU6/HardSwish) vectorize.  Same formula per element, so results
-/// are bit-identical to the per-element dispatch.
-template <Epilogue E>
-void finish_row(const float* src, float* dst, int n) {
-  for (int i = 0; i < n; ++i) dst[i] = epilogue_eval(E, src[i]);
-}
-
-void finish_row(Epilogue epi, const float* src, float* dst, int n) {
-  switch (epi) {
-    case Epilogue::kNone: finish_row<Epilogue::kNone>(src, dst, n); return;
-    case Epilogue::kReLU: finish_row<Epilogue::kReLU>(src, dst, n); return;
-    case Epilogue::kReLU6: finish_row<Epilogue::kReLU6>(src, dst, n); return;
-    case Epilogue::kSiLU: finish_row<Epilogue::kSiLU>(src, dst, n); return;
-    case Epilogue::kHardSwish:
-      finish_row<Epilogue::kHardSwish>(src, dst, n);
-      return;
-    case Epilogue::kGELU: finish_row<Epilogue::kGELU>(src, dst, n); return;
-  }
-}
 
 /// Problems below this many multiply-adds skip the packing machinery: a
 /// direct m / k / n loop nest is faster there and keeps the identical
@@ -81,10 +57,11 @@ void small_gemm(int M, int N, int K, const float* a, int lda, bool trans_a,
         row[n] += av * detail::b_elem(b, ldb, trans_b, k, n);
     }
     if (asc != nullptr) {
-      const float s = asc[m], t = ash[m];
-      for (int n = 0; n < N; ++n) row[n] = s * row[n] + t;
+      const ScalarAffine aff{asc[m], ash[m]};
+      epilogue_apply(epi, row, row, static_cast<std::size_t>(N), &aff);
+    } else if (epi != Epilogue::kNone) {
+      epilogue_apply(epi, row, row, static_cast<std::size_t>(N));
     }
-    if (epi != Epilogue::kNone) finish_row(epi, row, row, N);
   }
 }
 
@@ -265,33 +242,9 @@ bool set_fold_bn_enabled(bool on) {
   return false;
 }
 
-float epilogue_eval(Epilogue e, float x) {
-  // These are the single definitions of the fusable activations; nn::act_eval
-  // delegates the matching Act kinds here, so the fused write-back and the
-  // standalone Activation modules agree bit for bit by construction.
-  switch (e) {
-    case Epilogue::kNone:
-      return x;
-    case Epilogue::kReLU:
-      return x > 0.f ? x : 0.f;
-    case Epilogue::kReLU6:
-      return x < 0.f ? 0.f : (x > 6.f ? 6.f : x);
-    case Epilogue::kSiLU:
-      return x * (1.f / (1.f + std::exp(-x)));
-    case Epilogue::kHardSwish:
-      if (x <= -3.f) return 0.f;
-      if (x >= 3.f) return x;
-      return x * (x + 3.f) / 6.f;
-    case Epilogue::kGELU: {
-      const float u = 0.7978845608f * (x + 0.044715f * x * x * x);
-      return 0.5f * x * (1.f + std::tanh(u));
-    }
-  }
-  return x;
-}
-
-void epilogue_apply(Epilogue e, const float* src, float* dst, int n) {
-  finish_row(e, src, dst, n);
+void epilogue_apply(Epilogue e, const float* src, float* dst, std::size_t n,
+                    const ScalarAffine* affine) {
+  active_backend().elementwise(e, src, dst, n, affine);
 }
 
 PackedMatrix pack_a_matrix(int M, int K, const float* A, int lda, bool trans_a) {

@@ -51,6 +51,7 @@
 // paths.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -96,16 +97,40 @@ enum class Epilogue {
   kGELU,       ///< linear + GELU fusion (tanh approximation)
 };
 
-/// The scalar the fused write-back applies; nn::act_eval delegates the
-/// matching Act kinds here so fused and unfused paths share one formula
-/// and stay bit-identical by construction.
+/// The scalar the fused write-back applies: the reference definition of
+/// each fusable activation.  nn::act_eval delegates the matching Act kinds
+/// here, so fused and unfused paths share one formula.  SiLU is
+/// x * (1/(1 + exp_eval(-x))); GELU keeps std::tanh.
 [[nodiscard]] float epilogue_eval(Epilogue e, float x);
 
-/// dst[i] = epilogue_eval(e, src[i]) for n elements, with the epilogue
-/// switch hoisted out of the element loop so the clamp-style cases stay
-/// vectorizable (src may alias dst).  Same per-element formula, so results
-/// are bit-identical to calling epilogue_eval in a loop.
-void epilogue_apply(Epilogue e, const float* src, float* dst, int n);
+/// The in-repo float exp (the only exp behind SiLU and sigmoid): branch-free
+/// range clamp, magic-constant RNE, two-constant Cody-Waite reduction, a
+/// fixed polynomial and an exponent-bit scale, with no fused multiply-add
+/// and no float→int conversion.  Within 1 ULP of std::exp for every float
+/// (exhaustively checked); +inf past 88.7228, +0 below -103.972, NaN stays
+/// NaN.  Every backend evaluates the same formula lane-wise, bit-identically.
+[[nodiscard]] float exp_eval(float x);
+
+/// 1 / (1 + exp_eval(-x)): the SE gate, Act::kSigmoid and its gradient.
+[[nodiscard]] float sigmoid_eval(float x);
+
+/// Scalar affine stage of the elementwise entry, v = scale*v + shift (two
+/// roundings), applied before the epilogue — one inference-BN channel plane.
+struct ScalarAffine {
+  float scale;
+  float shift;
+};
+
+/// The elementwise entry: dst[i] = epilogue_eval(e, affine ? scale*src[i] +
+/// shift : src[i]) for n elements, evaluated by the active backend's
+/// Backend::elementwise (W lanes at a time in the SIMD backends).  Every
+/// backend is bit-identical to epilogue_eval element by element for every
+/// non-NaN result; NaN results stay NaN (their payload may differ).  src
+/// may equal dst; other overlaps are not allowed.  Serves the GEMM
+/// write-back, the Activation module, the BatchNorm2d inference pass and
+/// the depthwise BN+activation pass.
+void epilogue_apply(Epilogue e, const float* src, float* dst, std::size_t n,
+                    const ScalarAffine* affine = nullptr);
 
 /// Per-row affine stage of the fused write-back: v = scale[m]*v + shift[m],
 /// applied after the k-summation and before the Epilogue activation.  This

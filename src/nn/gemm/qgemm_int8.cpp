@@ -219,10 +219,11 @@ void run_tile(const TileArgs& t, int m0, int mc, int n0, int nc) {
       }
     }
     if (t.asc != nullptr) {
-      const float s = t.asc[m0 + m], sh = t.ash[m0 + m];
-      for (int n = 0; n < nc; ++n) crow[n] = s * crow[n] + sh;
+      const ScalarAffine aff{t.asc[m0 + m], t.ash[m0 + m]};
+      epilogue_apply(t.epi, crow, crow, static_cast<std::size_t>(nc), &aff);
+    } else if (t.epi != Epilogue::kNone) {
+      epilogue_apply(t.epi, crow, crow, static_cast<std::size_t>(nc));
     }
-    if (t.epi != Epilogue::kNone) epilogue_apply(t.epi, crow, crow, nc);
   }
 }
 

@@ -19,8 +19,6 @@ namespace mersit::nn {
 
 namespace {
 
-float sigmoidf(float x) { return 1.f / (1.f + std::exp(-x)); }
-
 /// The installed code-domain weights, when the layer should run from them:
 /// inference only and MERSIT_QGEMM != float.  The snapshot is taken once
 /// per forward; everything derived (decoded floats, packs, the cache
@@ -329,35 +327,140 @@ struct ConvGeom {
 
 namespace {
 
-/// Depthwise forward: kernel-taps-outer / output-x-inner direct loops.  The
-/// inner j loop is contiguous (vectorizable at stride 1) and the per-output
-/// accumulation order — bias, then (ki, kj) ascending with out-of-bounds
-/// taps skipped — is exactly the naive loop's, so results are bit-identical.
-void conv_forward_depthwise(const ConvGeom& g, const float* xb, const float* wt,
-                            const float* bias, float* yb) {
-  const int kk = g.k * g.k;
-  for (int c = 0; c < g.out_ch; ++c) {
-    const float* plane = xb + static_cast<std::size_t>(c) * g.h * g.w;
-    const float* wk = wt + static_cast<std::size_t>(c) * kk;
-    float* yp = yb + static_cast<std::size_t>(c) * g.osz();
-    for (int i = 0; i < g.oh; ++i) {
-      float* yrow = yp + static_cast<std::size_t>(i) * g.ow;
-      const float b0 = bias[c];
-      for (int j = 0; j < g.ow; ++j) yrow[j] = b0;
-      for (int ki = 0; ki < g.k; ++ki) {
-        const int yi = i * g.stride + ki - g.pad;
-        if (yi < 0 || yi >= g.h) continue;
-        const float* xrow = plane + static_cast<std::size_t>(yi) * g.w;
-        for (int kj = 0; kj < g.k; ++kj) {
-          const int lo = g.pad - kj;
-          const int jb = lo > 0 ? (lo + g.stride - 1) / g.stride : 0;
-          const int hi = g.w - 1 + g.pad - kj;
-          const int je = hi < 0 ? 0 : std::min(g.ow, hi / g.stride + 1);
-          const float wv = wk[ki * g.k + kj];
-          const float* src = xrow + kj - g.pad;
-          for (int j = jb; j < je; ++j) yrow[j] += wv * src[j * g.stride];
-        }
+/// One depthwise output element from the taps that land in bounds: bias
+/// first, then (ki, kj) ascending over the in-bounds taps — the naive loop's
+/// order, with out-of-bounds taps skipped, never zero-padded (a padded tap
+/// would turn a -0 sum into +0 and an inf weight into NaN).  (r0, c0) is the
+/// input position under tap (0, 0).
+inline float dw_point(const ConvGeom& g, const float* x, const float* wk,
+                      float b, int r0, int c0) {
+  const int kilo = std::max(0, -r0), kihi = std::min(g.k, g.h - r0);
+  const int kjlo = std::max(0, -c0), kjhi = std::min(g.k, g.w - c0);
+  float acc = b;
+  for (int ki = kilo; ki < kihi; ++ki) {
+    const float* row = x + static_cast<std::ptrdiff_t>(r0 + ki) * g.w + c0;
+    for (int kj = kjlo; kj < kjhi; ++kj) acc += wk[ki * g.k + kj] * row[kj];
+  }
+  return acc;
+}
+
+/// Interior columns [j0, j1) of output row i (every kj in bounds): the K×K
+/// taps unroll in (ki, kj) order per element and the j loop vectorizes.
+/// On a border row (Masked) the out-of-bounds tap rows are skipped by a
+/// select that keeps acc unchanged — bitwise the same as not adding — and
+/// read a clamped in-bounds row instead.
+template <int K, int S, bool Masked>
+void dw_row_interior(const ConvGeom& g, const float* x, const float* wv,
+                     float b, int i, float* __restrict y, int j0, int j1) {
+  const int r0 = i * S - g.pad, c0 = -g.pad;
+  const float* rp[K];
+  bool live[K];
+  for (int ki = 0; ki < K; ++ki) {
+    const int r = r0 + ki;
+    live[ki] = r >= 0 && r < g.h;
+    rp[ki] = x + static_cast<std::ptrdiff_t>(std::clamp(r, 0, g.h - 1)) * g.w +
+             c0;
+  }
+  for (int j = j0; j < j1; ++j) {
+    float acc = b;
+    for (int ki = 0; ki < K; ++ki)
+      for (int kj = 0; kj < K; ++kj) {
+        const float t = acc + wv[ki * K + kj] * rp[ki][j * S + kj];
+        if constexpr (Masked)
+          acc = live[ki] ? t : acc;
+        else
+          acc = t;
       }
+    y[j] = acc;
+  }
+}
+
+/// One border column j of a plane (some kj out of bounds), top to bottom:
+/// its in-bounds kj range is fixed down the column, so the tap loops stay
+/// predictable.
+template <int K>
+void dw_border_col(const ConvGeom& g, const float* x, const float* wv,
+                   float b, float* y, int j) {
+  const int c0 = j * g.stride - g.pad;
+  const int kjlo = std::max(0, -c0), kjhi = std::min(K, g.w - c0);
+  for (int i = 0; i < g.oh; ++i) {
+    const int r0 = i * g.stride - g.pad;
+    const int kilo = std::max(0, -r0), kihi = std::min(K, g.h - r0);
+    float acc = b;
+    for (int ki = kilo; ki < kihi; ++ki) {
+      const float* row = x + static_cast<std::ptrdiff_t>(r0 + ki) * g.w + c0;
+      for (int kj = kjlo; kj < kjhi; ++kj) acc += wv[ki * K + kj] * row[kj];
+    }
+    y[static_cast<std::size_t>(i) * g.ow + j] = acc;
+  }
+}
+
+/// One depthwise channel plane, any k/stride/pad, bit-identical to the
+/// naive loop.  With a compile-time K/S, each output row splits into border
+/// columns (dw_border_col) and an interior span where every tap column is in
+/// bounds (dw_row_interior, masked on the border rows).  Other geometries
+/// (K = 0) run dw_point per element.
+template <int K, int S>
+void dw_plane(const ConvGeom& g, const float* x, const float* wk, float b,
+              float* y) {
+  if constexpr (K == 0) {
+    for (int i = 0; i < g.oh; ++i)
+      for (int j = 0; j < g.ow; ++j)
+        y[static_cast<std::size_t>(i) * g.ow + j] =
+            dw_point(g, x, wk, b, i * g.stride - g.pad, j * g.stride - g.pad);
+  } else {
+    float wv[K * K];
+    for (int t = 0; t < K * K; ++t) wv[t] = wk[t];
+    // Interior columns: j*S - pad >= 0 and j*S - pad + K - 1 <= w - 1.
+    const int j0 = std::min(g.ow, (g.pad + S - 1) / S);
+    const int span = g.w - K + g.pad;
+    const int j1 = std::max(j0, span >= 0 ? std::min(g.ow, span / S + 1) : 0);
+    for (int i = 0; i < g.oh; ++i) {
+      const int r0 = i * S - g.pad;
+      float* yr = y + static_cast<std::size_t>(i) * g.ow;
+      if (r0 >= 0 && r0 + K <= g.h)
+        dw_row_interior<K, S, false>(g, x, wv, b, i, yr, j0, j1);
+      else
+        dw_row_interior<K, S, true>(g, x, wv, b, i, yr, j0, j1);
+    }
+    for (int j = 0; j < j0; ++j) dw_border_col<K>(g, x, wv, b, y, j);
+    for (int j = j1; j < g.ow; ++j) dw_border_col<K>(g, x, wv, b, y, j);
+  }
+}
+
+using DwPlaneFn = void (*)(const ConvGeom&, const float*, const float*, float,
+                           float*);
+
+/// The plane kernel for a geometry: unrolled interiors for the 3x3 and 5x5
+/// kernels at stride 1 and 2, the generic K = 0 instance otherwise.
+DwPlaneFn dw_plane_for(int k, int stride) {
+  if (k == 3 && stride == 1) return dw_plane<3, 1>;
+  if (k == 3 && stride == 2) return dw_plane<3, 2>;
+  if (k == 5 && stride == 1) return dw_plane<5, 1>;
+  if (k == 5 && stride == 2) return dw_plane<5, 2>;
+  return dw_plane<0, 0>;
+}
+
+/// One sample's depthwise forward, channel plane by channel plane; a fused
+/// inference BN (per-channel scale/shift) and activation run through the
+/// elementwise entry on each finished plane while it is still in L1 — the
+/// same per-element ops the BN and Activation modules apply, so the fused
+/// output is bit-identical to the module passes.
+void conv_forward_depthwise(const ConvGeom& g, const float* xb, const float* wt,
+                            const float* bias, float* yb, gemm::Epilogue epi,
+                            const float* bn_scale, const float* bn_shift) {
+  const DwPlaneFn plane = dw_plane_for(g.k, g.stride);
+  const int kk = g.k * g.k;
+  const std::size_t osz = static_cast<std::size_t>(g.osz());
+  for (int c = 0; c < g.out_ch; ++c) {
+    float* yp = yb + static_cast<std::size_t>(c) * osz;
+    plane(g, xb + static_cast<std::size_t>(c) * g.h * g.w,
+          wt + static_cast<std::size_t>(c) * kk, bias[c], yp);
+    if (bn_scale != nullptr) {
+      const gemm::ScalarAffine aff{bn_scale[c], bn_shift[c]};
+      gemm::epilogue_apply(epi, yp, yp, osz, &aff);
+    } else if (epi != gemm::Epilogue::kNone) {
+      gemm::epilogue_apply(epi, yp, yp, osz);
     }
   }
 }
@@ -638,19 +741,7 @@ Tensor Conv2d::run_conv(const Tensor& x, const ConvGeom& g, const float* wt,
       const float* xb = x.raw() + b * static_cast<std::size_t>(in_ch_) * g.h * g.w;
       float* yb = y.raw() + b * static_cast<std::size_t>(out_ch_) * g.osz();
       if (g.depthwise()) {
-        conv_forward_depthwise(g, xb, wt, bs, yb);
-        if (bn_scale != nullptr || epi != gemm::Epilogue::kNone) {
-          // Channel-major second pass: the same elementwise ops the BN /
-          // Activation modules would apply, so still bit-identical.
-          for (int c = 0; c < g.out_ch; ++c) {
-            float* yp = yb + static_cast<std::size_t>(c) * g.osz();
-            if (bn_scale != nullptr) {
-              const float s = bn_scale[c], t = bn_shift[c];
-              for (int i = 0; i < g.osz(); ++i) yp[i] = s * yp[i] + t;
-            }
-            gemm::epilogue_apply(epi, yp, yp, g.osz());
-          }
-        }
+        conv_forward_depthwise(g, xb, wt, bs, yb, epi, bn_scale, bn_shift);
         return;
       }
       core::ScratchArena& arena = core::ScratchArena::local();
@@ -828,19 +919,19 @@ Tensor BatchNorm2d::forward(const Tensor& x, const Context& ctx) {
           }
     }
   } else {
-    // Inference affine over contiguous [h*w] channel planes: same
-    // scale*x + shift per element as the indexed loops, minus the
-    // out-of-line at() call per element (and the plain loop vectorizes).
-    const int hw = h * w;
+    // Inference affine over contiguous [h*w] channel planes: scale*x +
+    // shift per element through the elementwise entry (the same expression
+    // the fused conv write-back applies).
+    const std::size_t hw = static_cast<std::size_t>(h) * w;
     for (int c = 0; c < c_; ++c) {
       const float inv = 1.f / std::sqrt(running_var[c] + eps_);
       const float scale = gamma.value[c] * inv;
-      const float shift = beta.value[c] - running_mean[c] * scale;
+      const gemm::ScalarAffine aff{scale,
+                                   beta.value[c] - running_mean[c] * scale};
       for (int b = 0; b < n; ++b) {
-        const float* xp =
-            x.raw() + (static_cast<std::size_t>(b) * c_ + c) * hw;
-        float* yp = y.raw() + (static_cast<std::size_t>(b) * c_ + c) * hw;
-        for (int i = 0; i < hw; ++i) yp[i] = scale * xp[i] + shift;
+        const std::size_t off = (static_cast<std::size_t>(b) * c_ + c) * hw;
+        gemm::epilogue_apply(gemm::Epilogue::kNone, x.raw() + off,
+                             y.raw() + off, hw, &aff);
       }
     }
   }
@@ -915,7 +1006,7 @@ float act_eval(Act a, float x) {
     case Act::kHardSwish:
       return gemm::epilogue_eval(gemm::Epilogue::kHardSwish, x);
     case Act::kGELU: return gemm::epilogue_eval(gemm::Epilogue::kGELU, x);
-    case Act::kSigmoid: return sigmoidf(x);
+    case Act::kSigmoid: return gemm::sigmoid_eval(x);
     case Act::kTanh: return std::tanh(x);
   }
   return 0.f;
@@ -928,7 +1019,7 @@ float act_grad(Act a, float x) {
     case Act::kReLU: return x > 0.f ? 1.f : 0.f;
     case Act::kReLU6: return (x > 0.f && x < 6.f) ? 1.f : 0.f;
     case Act::kSiLU: {
-      const float s = sigmoidf(x);
+      const float s = gemm::sigmoid_eval(x);
       return s * (1.f + x * (1.f - s));
     }
     case Act::kHardSwish:
@@ -943,7 +1034,7 @@ float act_grad(Act a, float x) {
              0.5f * x * (1.f - t * t) * c * (1.f + 3.f * 0.044715f * x * x);
     }
     case Act::kSigmoid: {
-      const float s = sigmoidf(x);
+      const float s = gemm::sigmoid_eval(x);
       return s * (1.f - s);
     }
     case Act::kTanh: {
@@ -958,15 +1049,11 @@ float act_grad(Act a, float x) {
 
 Tensor Activation::forward(const Tensor& x, const Context& ctx) {
   Tensor y(x.shape());
-  // act_eval delegates the fusable kinds to epilogue_eval, so the bulk
-  // epilogue loop (constant-epilogue body, auto-vectorized) computes the
-  // identical value per element — just without the per-element kind switch.
+  // act_eval delegates the fusable kinds to epilogue_eval, so the
+  // elementwise entry computes the identical value per element.
   if (const auto e = epilogue_for(kind_); e != gemm::Epilogue::kNone) {
-    constexpr std::int64_t kChunk = 1 << 28;  // epilogue_apply takes int n
-    for (std::int64_t i0 = 0; i0 < x.numel(); i0 += kChunk)
-      gemm::epilogue_apply(
-          e, x.raw() + i0, y.raw() + i0,
-          static_cast<int>(std::min(kChunk, x.numel() - i0)));
+    gemm::epilogue_apply(e, x.raw(), y.raw(),
+                         static_cast<std::size_t>(x.numel()));
   } else {
     for (std::int64_t i = 0; i < x.numel(); ++i) y[i] = act_eval(kind_, x[i]);
   }
@@ -1022,30 +1109,28 @@ Tensor MaxPool2d::backward(const Tensor& grad_out) {
 }
 
 Tensor GlobalAvgPool::forward(const Tensor& x, const Context& ctx) {
-  const int n = x.dim(0), c = x.dim(1), h = x.dim(2), w = x.dim(3);
+  const int n = x.dim(0), c = x.dim(1);
+  const std::size_t hw = static_cast<std::size_t>(x.dim(2)) * x.dim(3);
   if (ctx.train) x_shape_ = x.shape();
   Tensor y({n, c});
-  const float inv = 1.f / static_cast<float>(h * w);
-  for (int b = 0; b < n; ++b)
-    for (int ch = 0; ch < c; ++ch) {
-      float acc = 0.f;
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) acc += x.at(b, ch, i, j);
-      y.at(b, ch) = acc * inv;
-    }
+  const float inv = 1.f / static_cast<float>(hw);
+  // Planes are contiguous [h*w] runs, summed in row-major (i, j) order.
+  for (std::size_t p = 0; p < static_cast<std::size_t>(n) * c; ++p) {
+    const float* xp = x.raw() + p * hw;
+    float acc = 0.f;
+    for (std::size_t i = 0; i < hw; ++i) acc += xp[i];
+    y.raw()[p] = acc * inv;
+  }
   return y;
 }
 
 Tensor GlobalAvgPool::backward(const Tensor& grad_out) {
   const int n = x_shape_[0], c = x_shape_[1], h = x_shape_[2], w = x_shape_[3];
+  const std::size_t hw = static_cast<std::size_t>(h) * w;
   Tensor dx({n, c, h, w});
-  const float inv = 1.f / static_cast<float>(h * w);
-  for (int b = 0; b < n; ++b)
-    for (int ch = 0; ch < c; ++ch) {
-      const float g = grad_out.at(b, ch) * inv;
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) dx.at(b, ch, i, j) = g;
-    }
+  const float inv = 1.f / static_cast<float>(hw);
+  for (std::size_t p = 0; p < static_cast<std::size_t>(n) * c; ++p)
+    std::fill_n(dx.raw() + p * hw, hw, grad_out.raw()[p] * inv);
   return dx;
 }
 
@@ -1206,17 +1291,20 @@ void SEBlock::collect_children(std::vector<NamedChild>& out) {
 Tensor SEBlock::forward(const Tensor& x, const Context& ctx) {
   // Computed in locals so concurrent inference forwards on a shared model
   // (parallel PTQ calibration/eval) don't race; caches move into members
-  // only under ctx.train, where runs are single-threaded.
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
+  // only under ctx.train, where runs are single-threaded.  Pointer loops
+  // over contiguous [h*w] planes (plane p = b*c_ + c), summed in row-major
+  // order.
+  const int n = x.dim(0);
+  const std::size_t hw = static_cast<std::size_t>(x.dim(2)) * x.dim(3);
+  const std::size_t planes = static_cast<std::size_t>(n) * c_;
   Tensor pooled({n, c_});
-  const float inv = 1.f / static_cast<float>(h * w);
-  for (int b = 0; b < n; ++b)
-    for (int c = 0; c < c_; ++c) {
-      float acc = 0.f;
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) acc += x.at(b, c, i, j);
-      pooled.at(b, c) = acc * inv;
-    }
+  const float inv = 1.f / static_cast<float>(hw);
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float* xp = x.raw() + p * hw;
+    float acc = 0.f;
+    for (std::size_t i = 0; i < hw; ++i) acc += xp[i];
+    pooled.raw()[p] = acc * inv;
+  }
   // fc1's ReLU is applied by SEBlock itself (no Activation module and no
   // intermediate quant hook), so fusing it into fc1's GEMM write-back is
   // legal even under a quant session; backward needs nothing from z1 either,
@@ -1231,14 +1319,15 @@ Tensor SEBlock::forward(const Tensor& x, const Context& ctx) {
   }
   Tensor z2 = fc2_.forward(h1, ctx);
   Tensor gate(z2.shape());
-  for (std::int64_t i = 0; i < z2.numel(); ++i) gate[i] = sigmoidf(z2[i]);
+  for (std::int64_t i = 0; i < z2.numel(); ++i)
+    gate[i] = gemm::sigmoid_eval(z2[i]);
   Tensor y(x.shape());
-  for (int b = 0; b < n; ++b)
-    for (int c = 0; c < c_; ++c) {
-      const float g = gate.at(b, c);
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) y.at(b, c, i, j) = x.at(b, c, i, j) * g;
-    }
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float g = gate.raw()[p];
+    const float* xp = x.raw() + p * hw;
+    float* yp = y.raw() + p * hw;
+    for (std::size_t i = 0; i < hw; ++i) yp[i] = xp[i] * g;
+  }
   if (ctx.train) {
     x_cache_ = x;
     h1_ = std::move(h1);
@@ -1249,21 +1338,23 @@ Tensor SEBlock::forward(const Tensor& x, const Context& ctx) {
 
 Tensor SEBlock::backward(const Tensor& grad_out) {
   const Tensor& x = x_cache_;
-  const int n = x.dim(0), h = x.dim(2), w = x.dim(3);
+  const int n = x.dim(0);
+  const std::size_t hw = static_cast<std::size_t>(x.dim(2)) * x.dim(3);
+  const std::size_t planes = static_cast<std::size_t>(n) * c_;
   Tensor dgate({n, c_});
   Tensor dx(x.shape());
-  for (int b = 0; b < n; ++b)
-    for (int c = 0; c < c_; ++c) {
-      const float g = gate_.at(b, c);
-      float acc = 0.f;
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) {
-          const float go = grad_out.at(b, c, i, j);
-          dx.at(b, c, i, j) = go * g;          // direct path
-          acc += go * x.at(b, c, i, j);        // gate path
-        }
-      dgate.at(b, c) = acc;
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float g = gate_.raw()[p];
+    const float* gp = grad_out.raw() + p * hw;
+    const float* xp = x.raw() + p * hw;
+    float* dp = dx.raw() + p * hw;
+    float acc = 0.f;
+    for (std::size_t i = 0; i < hw; ++i) {
+      dp[i] = gp[i] * g;      // direct path
+      acc += gp[i] * xp[i];   // gate path
     }
+    dgate.raw()[p] = acc;
+  }
   // Through the sigmoid.
   Tensor dz2(dgate.shape());
   for (std::int64_t i = 0; i < dz2.numel(); ++i) {
@@ -1274,13 +1365,12 @@ Tensor SEBlock::backward(const Tensor& grad_out) {
   for (std::int64_t i = 0; i < dh1.numel(); ++i)
     if (h1_[i] <= 0.f) dh1[i] = 0.f;
   Tensor dpooled = fc1_.backward(dh1);
-  const float inv = 1.f / static_cast<float>(h * w);
-  for (int b = 0; b < n; ++b)
-    for (int c = 0; c < c_; ++c) {
-      const float g = dpooled.at(b, c) * inv;
-      for (int i = 0; i < h; ++i)
-        for (int j = 0; j < w; ++j) dx.at(b, c, i, j) += g;
-    }
+  const float inv = 1.f / static_cast<float>(hw);
+  for (std::size_t p = 0; p < planes; ++p) {
+    const float g = dpooled.raw()[p] * inv;
+    float* dp = dx.raw() + p * hw;
+    for (std::size_t i = 0; i < hw; ++i) dp[i] += g;
+  }
   return dx;
 }
 
