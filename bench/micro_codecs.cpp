@@ -6,7 +6,12 @@
 // (one JSON object with per-format throughput of the scalar codec
 // reference, the LUT kernel's scalar loop and the dispatched vector variant,
 // plus the single-thread speedups) before the google-benchmark run — the
-// bench trajectory and EXPERIMENTS.md consume it.
+// bench trajectory and EXPERIMENTS.md consume it.  Each format also gets
+// one row per variant the host can run of the LUT kernel and of the
+// fixed-scale quant stage that activation quant points use, and INT8 the
+// uniform-grid path (the backend's level quantizer plus a per-level output
+// table) the stage replaced; MERSIT_BACKEND=avx2 forces that path's
+// quantizer onto AVX2 for a like-for-like AVX2 comparison.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -24,9 +29,11 @@
 #include "core/registry.h"
 #include "core/thread_pool.h"
 #include "formats/kernels/kernel_cache.h"
+#include "formats/kernels/quant_stage.h"
 #include "formats/quantize.h"
 #include "hw/mac.h"
 #include "hw/reference.h"
+#include "nn/gemm/backend.h"
 #include "nn/gemm/qgemm.h"
 #include "rtl/sim.h"
 
@@ -117,12 +124,17 @@ void BM_QuantizeBufferKernel(benchmark::State& state, const char* name) {
 // ------------------------------------------------- speedup report (JSON) --
 
 /// scalar: fake_quantize_scalar (the codec reference); kernel: the LUT
-/// kernel's scalar loop; vector: the variant fake_quantize dispatches to.
+/// kernel's scalar loop; vector: the variant fake_quantize dispatches to;
+/// lut / stage: the LUT kernel and the quant stage per runnable variant
+/// (same order as the variant names in the report); grid: the retired
+/// INT8 uniform-grid path (0 for the other formats).
 struct CodecTiming {
   std::string format;
   double scalar_ns_per_elem = 0.0;
   double kernel_ns_per_elem = 0.0;
   double vector_ns_per_elem = 0.0;
+  std::vector<double> lut_ns_per_elem, stage_ns_per_elem;
+  double grid_ns_per_elem = 0.0;
   [[nodiscard]] double speedup() const {
     return vector_ns_per_elem > 0.0 ? scalar_ns_per_elem / vector_ns_per_elem
                                     : 0.0;
@@ -159,6 +171,24 @@ double time_ns_per_elem(const std::vector<float>& buf, int passes, Fn&& fn) {
   return ns / (static_cast<double>(passes) * static_cast<double>(buf.size()));
 }
 
+/// The INT8 fake-quantize FakeQuantizer ran before the quant stages: the
+/// active backend's level quantizer (RNE of x·(1/scale), INT8's values are
+/// the integer levels) and a per-level output table.  Kept here only as
+/// the comparison row; it is bit-identical to the stage.
+void int8_grid_fake_quantize(std::span<float> x, double scale) {
+  constexpr int kQmax = 127;
+  float out[2 * kQmax + 1];
+  for (int l = -kQmax; l <= kQmax; ++l)
+    out[l + kQmax] = static_cast<float>(static_cast<double>(l) * scale);
+  constexpr std::size_t kChunk = 4096;
+  std::int8_t lv[kChunk];
+  for (std::size_t i = 0; i < x.size(); i += kChunk) {
+    const std::size_t c = std::min(kChunk, x.size() - i);
+    nn::gemm::quantize_levels(x.data() + i, c, 1.0 / scale, -kQmax, kQmax, lv);
+    for (std::size_t j = 0; j < c; ++j) x[i + j] = out[lv[j] + kQmax];
+  }
+}
+
 /// Measure every registered format and write the JSON report.
 int write_codec_json(const char* path) {
   constexpr std::size_t kElems = 1 << 16;
@@ -167,6 +197,13 @@ int write_codec_json(const char* path) {
   namespace fk = formats::kernels;
   const fk::FakeQuantVariant& scalar_loop = fk::fake_quant_variants().back();
   const fk::FakeQuantVariant& vector_loop = fk::active_fake_quant_variant();
+  // The LUT and stage registries list the same ISAs in the same order.
+  std::vector<const fk::FakeQuantVariant*> luts;
+  std::vector<const fk::QuantStageVariant*> stages;
+  for (const fk::FakeQuantVariant& v : fk::fake_quant_variants())
+    if (v.supported()) luts.push_back(&v);
+  for (const fk::QuantStageVariant& v : fk::quant_stage_variants())
+    if (v.supported()) stages.push_back(&v);
   std::vector<CodecTiming> rows;
   for (const std::string& name : core::all_format_names()) {
     const auto fmt = core::make_format(name);
@@ -187,6 +224,22 @@ int write_codec_json(const char* path) {
         time_ns_per_elem(buf, kPasses, [&](std::span<float> c) {
           formats::fake_quantize(c, *fmt, scale);
         });
+    for (const fk::FakeQuantVariant* v : luts)
+      t.lut_ns_per_elem.push_back(
+          time_ns_per_elem(buf, kPasses, [&](std::span<float> c) {
+            kernel->fake_quantize(*v, c, scale);
+          }));
+    const fk::QuantStage stage(*kernel, scale);
+    for (const fk::QuantStageVariant* v : stages)
+      t.stage_ns_per_elem.push_back(
+          time_ns_per_elem(buf, kPasses, [&](std::span<float> c) {
+            stage.apply(*v, c);
+          }));
+    if (name == "INT8")
+      t.grid_ns_per_elem =
+          time_ns_per_elem(buf, kPasses, [&](std::span<float> c) {
+            int8_grid_fake_quantize(c, scale);
+          });
     rows.push_back(t);
   }
   std::FILE* f = std::fopen(path, "w");
@@ -195,18 +248,35 @@ int write_codec_json(const char* path) {
     return 1;
   }
   std::fprintf(f, "{\n  \"bench\": \"micro_codecs/fake_quantize\",\n");
+  const auto json_list = [f](const std::vector<double>& v) {
+    std::fprintf(f, "[");
+    for (std::size_t i = 0; i < v.size(); ++i)
+      std::fprintf(f, "%s%.3f", i > 0 ? ", " : "", v[i]);
+    std::fprintf(f, "]");
+  };
   std::fprintf(f, "  \"elements\": %zu,\n  \"vector_variant\": \"%s\",\n",
                kElems, vector_loop.name);
+  std::fprintf(f, "  \"variants\": [");
+  for (std::size_t i = 0; i < luts.size(); ++i)
+    std::fprintf(f, "%s\"%s\"", i > 0 ? ", " : "", luts[i]->name);
+  std::fprintf(f, "],\n  \"gemm_backend\": \"%s\",\n",
+               nn::gemm::active_backend().name);
   std::fprintf(f, "  \"formats\": [\n");
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const CodecTiming& t = rows[i];
     std::fprintf(f,
                  "    {\"format\": \"%s\", \"scalar_ns_per_elem\": %.3f, "
                  "\"kernel_ns_per_elem\": %.3f, \"vector_ns_per_elem\": %.3f, "
-                 "\"speedup\": %.2f, \"vector_over_kernel\": %.2f}%s\n",
+                 "\"speedup\": %.2f, \"vector_over_kernel\": %.2f, "
+                 "\"lut_ns_per_elem\": ",
                  t.format.c_str(), t.scalar_ns_per_elem, t.kernel_ns_per_elem,
-                 t.vector_ns_per_elem, t.speedup(), t.vector_over_kernel(),
-                 i + 1 < rows.size() ? "," : "");
+                 t.vector_ns_per_elem, t.speedup(), t.vector_over_kernel());
+    json_list(t.lut_ns_per_elem);
+    std::fprintf(f, ", \"stage_ns_per_elem\": ");
+    json_list(t.stage_ns_per_elem);
+    if (t.grid_ns_per_elem > 0.0)
+      std::fprintf(f, ", \"grid_ns_per_elem\": %.3f", t.grid_ns_per_elem);
+    std::fprintf(f, "}%s\n", i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(f, "  ]\n}\n");
   std::fclose(f);
@@ -217,6 +287,20 @@ int write_codec_json(const char* path) {
     std::printf("%-16s %14.2f %14.2f %14.2f %8.1fx %8.1fx\n", t.format.c_str(),
                 t.scalar_ns_per_elem, t.kernel_ns_per_elem,
                 t.vector_ns_per_elem, t.speedup(), t.vector_over_kernel());
+  std::printf("\nns/elem per variant: LUT kernel vs quant stage (INT8 grid "
+              "path on the %s gemm backend)\n%-16s",
+              nn::gemm::active_backend().name, "format");
+  for (const fk::FakeQuantVariant* v : luts)
+    std::printf(" %8s-lut %8s-stg", v->name, v->name);
+  std::printf(" %8s\n", "grid");
+  for (const CodecTiming& t : rows) {
+    std::printf("%-16s", t.format.c_str());
+    for (std::size_t i = 0; i < luts.size(); ++i)
+      std::printf(" %12.2f %12.2f", t.lut_ns_per_elem[i],
+                  t.stage_ns_per_elem[i]);
+    if (t.grid_ns_per_elem > 0.0) std::printf(" %8.2f", t.grid_ns_per_elem);
+    std::printf("\n");
+  }
   return 0;
 }
 

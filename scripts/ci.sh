@@ -33,9 +33,10 @@ run_suite() {
 }
 
 # The full stage: every ctest label, including the `slow` exhaustive
-# 2^32-pattern fake-quantize sweep (test_kernel_sweep: MERSIT(8,2), every
-# vector variant this host executes, against the Format::quantize
-# reference).
+# 2^32-pattern fake-quantize sweeps (test_kernel_sweep, against the
+# Format::quantize reference: the LUT kernel for MERSIT(8,2) at scale 1,
+# and the quant stage for MERSIT(8,2), INT8 and Posit(8,1) at
+# non-power-of-two scales, each on every variant this host executes).
 run_suite build
 
 # SIMD backend self-check: the registry's CPUID detection must activate a
@@ -102,14 +103,16 @@ MERSIT_BENCH_FAST=1 ./build/bench/fig7_mac_area_power --json=build/BENCH_fig7.js
 ./build/bench/fig7_mac_area_power --check_json=BENCH_fig7.json
 
 # The ASan/UBSan stage runs the full suite, so the fake-quantize kernel
-# suites (KernelEquivalence / KernelVariants in test_concurrency, the sweep
-# in test_kernel_sweep) run sanitized on every variant the host executes,
+# and quant-stage suites (KernelEquivalence / KernelVariants /
+# StageVariants in test_concurrency, the sweeps in test_kernel_sweep) run
+# sanitized on every variant the host executes,
 # and so do Depthwise.* (test_concurrency: the depthwise kernel's border
 # reads over every k/stride/pad/shape in its matrix), Elementwise.* and the
 # exhaustive exp sweep (test_exp_sweep).
 # The vector lanes gather unmasked; their indices are the ones the scalar
 # variant loads through instrumented pointers, so an index that left its
-# table would surface here as a heap-buffer-overflow.
+# table would surface here as a heap-buffer-overflow (the stage's AVX2
+# gathers index its 128-entry tables the same way).
 #
 # Sanitizer stages run the *default* dispatch under the forced scalar
 # reference backend (deterministic baseline codegen; the per-backend gates

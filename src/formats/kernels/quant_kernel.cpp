@@ -70,24 +70,24 @@ QuantKernel::QuantKernel(const Format& fmt) : name_(fmt.name()) {
   const std::size_t n = pos.size();
   cand_code_.resize(n + 1);
   cand_value_.resize(n + 1);
-  // Rounding boundaries: mid[j] separates candidate slots j and j+1.
-  // mid[j] = 0.5 * (value j-1 + value j) for 1 <= j < n (the exact
+  // Rounding boundaries: mid_[j] separates candidate slots j and j+1.
+  // mid_[j] = 0.5 * (value j-1 + value j) for 1 <= j < n (the exact
   // expression the scalar reference evaluates, so an exact midpoint compares
-  // identically here); mid[0] is the underflow boundary — half the smallest
+  // identically here); mid_[0] is the underflow boundary — half the smallest
   // value when the format rounds small magnitudes to zero, or an
-  // unreachable -1 when it clamps up (posit semantics) — and mid[n] is a NaN
+  // unreachable -1 when it clamps up (posit semantics) — and mid_[n] is a NaN
   // sentinel (compares false against everything, so the pick saturates at
   // the top value for any x from the largest value to +inf).
-  std::vector<double> mid(n + 1);
+  mid_.assign(n + 1, 0.0);
   cand_code_[0] = zero_code_;
   cand_value_[0] = values_[zero_code_];
   for (std::size_t i = 0; i < n; ++i) {
     cand_code_[i + 1] = pos[i].code;
     cand_value_[i + 1] = values_[pos[i].code];
-    if (i > 0) mid[i] = 0.5 * (pos[i - 1].value + pos[i].value);
+    if (i > 0) mid_[i] = 0.5 * (pos[i - 1].value + pos[i].value);
   }
-  mid[0] = fmt.underflows_to_zero() ? pos.front().value * 0.5 : -1.0;
-  mid[n] = std::numeric_limits<double>::quiet_NaN();
+  mid_[0] = fmt.underflows_to_zero() ? pos.front().value * 0.5 : -1.0;
+  mid_[n] = std::numeric_limits<double>::quiet_NaN();
 
   // Ties go to the even code: at boundary 0 the smallest value wins when its
   // code is even, else zero; at boundary j >= 1, value j-1 (slot j) when its
@@ -123,7 +123,7 @@ QuantKernel::QuantKernel(const Format& fmt) : name_(fmt.name()) {
   // of significant bits; their midpoints one more) and every index must fit.
   if (n > kBoundIndexMask)
     throw std::logic_error("QuantKernel: too many values in " + name_);
-  for (const double m : mid)
+  for (const double m : mid_)
     if ((std::bit_cast<std::uint64_t>(m) & kBoundIndexMask) != 0)
       throw std::logic_error("QuantKernel: a rounding boundary of " + name_ +
                              " uses the low mantissa byte");
@@ -131,17 +131,17 @@ QuantKernel::QuantKernel(const Format& fmt) : name_(fmt.name()) {
   // Bucket LUT.  Positive finite doubles order like their bit patterns, so
   // bucket k covers the value interval [key_to_double(k), key_to_double(k+1))
   // and its word holds the first boundary >= its start.  The buckets span
-  // the positive real boundaries (mid[1..n-1], plus mid[0] when it is the
+  // the positive real boundaries (mid_[1..n-1], plus mid_[0] when it is the
   // underflow threshold) — below them every magnitude has passed only the
   // -1 sentinel, above them every real boundary.  Start at shift 46 (64
   // buckets per octave) and refine until every bucket holds at most one
   // boundary — the precondition for pick_index's one-compare pick.
-  const std::size_t first_pos = mid[0] > 0.0 ? 0 : 1;
+  const std::size_t first_pos = mid_[0] > 0.0 ? 0 : 1;
   if (first_pos >= n)
     throw std::logic_error("QuantKernel: " + name_ +
                            " has no positive rounding boundary");
-  const auto real_begin = mid.begin();
-  const auto real_end = mid.begin() + static_cast<std::ptrdiff_t>(n);
+  const auto real_begin = mid_.begin();
+  const auto real_end = mid_.begin() + static_cast<std::ptrdiff_t>(n);
   int shift = 46;
   std::uint64_t key_base = 0;
   for (;; --shift) {
@@ -154,8 +154,8 @@ QuantKernel::QuantKernel(const Format& fmt) : name_(fmt.name()) {
     const auto bucket_start = [shift](std::uint64_t key) {
       return std::bit_cast<double>(key << shift);
     };
-    key_base = key_of(mid[first_pos]);
-    const std::uint64_t key_max = key_of(mid[n - 1]);
+    key_base = key_of(mid_[first_pos]);
+    const std::uint64_t key_max = key_of(mid_[n - 1]);
     const std::size_t buckets =
         static_cast<std::size_t>(key_max - key_base) + 1;
     bound_.assign(buckets, 0);
@@ -167,7 +167,7 @@ QuantKernel::QuantKernel(const Format& fmt) : name_(fmt.name()) {
       const auto last = std::lower_bound(first, real_end, next);
       max_span = std::max(max_span, static_cast<std::size_t>(last - first));
       const auto j = static_cast<std::size_t>(first - real_begin);
-      bound_[k] = std::bit_cast<std::uint64_t>(mid[j]) | j;
+      bound_[k] = std::bit_cast<std::uint64_t>(mid_[j]) | j;
     }
     if (max_span <= 1) break;
   }

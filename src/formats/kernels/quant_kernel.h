@@ -32,7 +32,12 @@
 // The kernel is immutable after construction and safe for concurrent use
 // from any number of threads.  Scale is a per-call parameter: the tables are
 // scale-independent (the scalar reference divides by `scale` before the
-// search and multiplies after), so one kernel serves every channel scale.
+// search and multiplies after), so one kernel serves every channel scale —
+// per-channel weights, RMSE and scale sweeps, where the scale changes from
+// call to call.  Where the scale is fixed — an activation quant point —
+// a QuantStage (quant_stage.h), built from this kernel's boundaries and
+// tie rule, folds it into float thresholds and picks without gathers or
+// double conversion; the gathers here are the cost of a per-call scale.
 //
 // Contract: every operation is bit-for-bit identical to the scalar reference
 // path (fake_quantize_scalar / Format::quantize), including saturation,
@@ -207,6 +212,19 @@ class QuantKernel {
     v.run(view_, data.data(), data.size(), scale);
   }
 
+  // What a QuantStage is built from.  Candidate slot k (k < slot_count())
+  // is the zero code for k = 0 and the k-th smallest positive value after
+  // it; boundary j (j < slot_count() - 1) separates slots j and j+1, and a
+  // magnitude exactly on it picks slot j+1 iff tie_picks_upper(j).
+  [[nodiscard]] std::size_t slot_count() const { return cand_value_.size(); }
+  [[nodiscard]] double candidate_value(std::size_t k) const {
+    return cand_value_[k];
+  }
+  [[nodiscard]] double boundary(std::size_t j) const { return mid_[j]; }
+  [[nodiscard]] bool tie_picks_upper(std::size_t j) const {
+    return tie_[j] == j + 1;
+  }
+
   /// Batched RMSE between `data` and its fake-quantized image; identical
   /// accumulation order (hence bit-identical result) to the scalar path.
   [[nodiscard]] double quantization_rmse(std::span<const float> data,
@@ -226,6 +244,10 @@ class QuantKernel {
   std::vector<std::uint8_t> cand_code_;
   std::vector<double> cand_value_;  // values_[cand_code_[k]], same slots
   std::vector<std::uint32_t> tie_;
+  // Rounding boundaries: mid_[j] separates slots j and j+1 (mid_[0] the
+  // underflow boundary, or -1 when small magnitudes clamp up; mid_[n] a NaN
+  // sentinel).
+  std::vector<double> mid_;
 
   // Bucket LUT (LutView::bound): for positive x, key(x) = clamp((bits(x) >>
   // shift) - key_base, 0, key_top), spanning the positive boundaries.  The

@@ -156,6 +156,13 @@ struct Backend {
   /// (test_elementwise gates every backend).  src == dst is allowed.
   void (*elementwise)(Epilogue e, const float* src, float* dst, std::size_t n,
                       const ScalarAffine* affine);
+  /// Its per-row-affine form behind gemm::epilogue_apply_rows: for each of
+  /// `rows` contiguous rows of `len` floats, elementwise with the affine
+  /// (scale[r], shift[r]) — bitwise one elementwise call per row, in one
+  /// call (inference BatchNorm's channel planes of one sample).
+  void (*elementwise_rows)(Epilogue e, const float* src, float* dst,
+                           std::size_t rows, std::size_t len,
+                           const float* scale, const float* shift);
 };
 
 /// Compiled-in backends in detection order: best first, scalar last (scalar

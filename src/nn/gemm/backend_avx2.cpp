@@ -276,7 +276,7 @@ constexpr Backend kAvx2 = {
     pack_a_codes,     pack_b_codes,   micro,
     /*kg8=*/kKG8,     pack_a_int8,    pack_b_int8,  micro_int8,
     pack_a_int8_f32,  pack_b_int8_f32,  quantize_levels_vec,
-    detail::elementwise_lanes<kLanes>,
+    detail::elementwise_lanes<kLanes>, detail::elementwise_rows_lanes<kLanes>,
 };
 
 }  // namespace

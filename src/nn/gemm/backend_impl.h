@@ -268,6 +268,30 @@ void elementwise_lanes(Epilogue e, const float* src, float* dst,
     elementwise_switch<W, false>(e, src, dst, n, 0.f, 0.f);
 }
 
+/// Backend::elementwise_rows at lane width W: row r runs exactly the
+/// affine elementwise loop with (scale[r], shift[r]), so the result is
+/// bitwise that of one elementwise call per row.
+template <int W>
+void elementwise_rows_lanes(Epilogue e, const float* src, float* dst,
+                            std::size_t rows, std::size_t len,
+                            const float* scale, const float* shift) {
+  const auto each_row = [&]<Epilogue E>() {
+    for (std::size_t r = 0; r < rows; ++r)
+      elementwise_run<W, E, true>(src + r * len, dst + r * len, len,
+                                  scale[r], shift[r]);
+  };
+  switch (e) {
+    case Epilogue::kNone: return each_row.template operator()<Epilogue::kNone>();
+    case Epilogue::kReLU: return each_row.template operator()<Epilogue::kReLU>();
+    case Epilogue::kReLU6:
+      return each_row.template operator()<Epilogue::kReLU6>();
+    case Epilogue::kSiLU: return each_row.template operator()<Epilogue::kSiLU>();
+    case Epilogue::kHardSwish:
+      return each_row.template operator()<Epilogue::kHardSwish>();
+    case Epilogue::kGELU: return each_row.template operator()<Epilogue::kGELU>();
+  }
+}
+
 inline float a_elem(const float* a, int lda, bool trans, int m, int k) {
   return trans ? a[static_cast<std::size_t>(k) * lda + m]
                : a[static_cast<std::size_t>(m) * lda + k];

@@ -236,7 +236,7 @@ constexpr Backend kNeon = {
     pack_a_codes,     pack_b_codes,   micro,
     /*kg8=*/kKG8,     pack_a_int8,    pack_b_int8,  micro_int8,
     pack_a_int8_f32,  pack_b_int8_f32,  detail::quantize_levels_scalar,
-    detail::elementwise_lanes<kLanes>,
+    detail::elementwise_lanes<kLanes>, detail::elementwise_rows_lanes<kLanes>,
 };
 
 }  // namespace

@@ -147,7 +147,7 @@ constexpr Backend kScalar = {
     pack_a_codes,       pack_b_codes,   micro,
     /*kg8=*/kKG8,       pack_a_int8,    pack_b_int8,  micro_int8,
     pack_a_int8_f32,    pack_b_int8_f32,    detail::quantize_levels_scalar,
-    detail::elementwise_lanes<1>,
+    detail::elementwise_lanes<1>, detail::elementwise_rows_lanes<1>,
 };
 
 }  // namespace

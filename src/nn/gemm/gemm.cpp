@@ -247,6 +247,12 @@ void epilogue_apply(Epilogue e, const float* src, float* dst, std::size_t n,
   active_backend().elementwise(e, src, dst, n, affine);
 }
 
+void epilogue_apply_rows(Epilogue e, const float* src, float* dst,
+                         std::size_t rows, std::size_t len, const float* scale,
+                         const float* shift) {
+  active_backend().elementwise_rows(e, src, dst, rows, len, scale, shift);
+}
+
 PackedMatrix pack_a_matrix(int M, int K, const float* A, int lda, bool trans_a) {
   if (M < 0 || K < 0)
     throw std::invalid_argument("pack_a_matrix: negative dim");

@@ -132,6 +132,15 @@ struct ScalarAffine {
 void epilogue_apply(Epilogue e, const float* src, float* dst, std::size_t n,
                     const ScalarAffine* affine = nullptr);
 
+/// The elementwise entry with a per-row affine: for r < rows, the `len`
+/// floats at src + r·len map to dst + r·len as epilogue_apply with
+/// ScalarAffine{scale[r], shift[r]} — bitwise identical to that loop of
+/// calls, on every backend, in one dispatch.  Serves the BatchNorm2d
+/// inference pass (rows = channels of one sample, len = h·w).
+void epilogue_apply_rows(Epilogue e, const float* src, float* dst,
+                         std::size_t rows, std::size_t len, const float* scale,
+                         const float* shift);
+
 /// Per-row affine stage of the fused write-back: v = scale[m]*v + shift[m],
 /// applied after the k-summation and before the Epilogue activation.  This
 /// is exactly the per-channel form inference BatchNorm evaluates (with

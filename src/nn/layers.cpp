@@ -920,19 +920,21 @@ Tensor BatchNorm2d::forward(const Tensor& x, const Context& ctx) {
     }
   } else {
     // Inference affine over contiguous [h*w] channel planes: scale*x +
-    // shift per element through the elementwise entry (the same expression
-    // the fused conv write-back applies).
+    // shift per element (the same expression the fused conv write-back
+    // applies), one per-row-affine elementwise call per sample.
     const std::size_t hw = static_cast<std::size_t>(h) * w;
-    for (int c = 0; c < c_; ++c) {
+    const auto channels = static_cast<std::size_t>(c_);
+    std::vector<float> scale(channels), shift(channels);
+    for (std::size_t c = 0; c < channels; ++c) {
       const float inv = 1.f / std::sqrt(running_var[c] + eps_);
-      const float scale = gamma.value[c] * inv;
-      const gemm::ScalarAffine aff{scale,
-                                   beta.value[c] - running_mean[c] * scale};
-      for (int b = 0; b < n; ++b) {
-        const std::size_t off = (static_cast<std::size_t>(b) * c_ + c) * hw;
-        gemm::epilogue_apply(gemm::Epilogue::kNone, x.raw() + off,
-                             y.raw() + off, hw, &aff);
-      }
+      scale[c] = gamma.value[c] * inv;
+      shift[c] = beta.value[c] - running_mean[c] * scale[c];
+    }
+    for (int b = 0; b < n; ++b) {
+      const std::size_t off = static_cast<std::size_t>(b) * channels * hw;
+      gemm::epilogue_apply_rows(gemm::Epilogue::kNone, x.raw() + off,
+                                y.raw() + off, channels, hw, scale.data(),
+                                shift.data());
     }
   }
   return y;

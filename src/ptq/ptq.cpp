@@ -1,7 +1,6 @@
 #include "ptq/ptq.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <mutex>
 #include <sstream>
@@ -48,106 +47,35 @@ void MaxCalibrator::observe_input(const Tensor& t) {
   table.input_absmax = std::max(table.input_absmax, t.abs_max());
 }
 
-namespace {
-
-// Uniform-grid detector for the fake-quantize fast path.  The codec kernel
-// rounds a magnitude to the nearest positive value with ties to the even
-// CODE; the SIMD level quantizer (nn::gemm::quantize_levels) rounds to the
-// nearest integer LEVEL with ties to the even level.  The two agree
-// bit-for-bit iff:
-//   - the positive values are exactly pitch·{1..qmax} (contiguous grid), so
-//     nearest-value == nearest-level;
-//   - pitch is a power of two, so the grid midpoints pitch·(l+0.5) are exact
-//     doubles and dividing the scaled element by the pitch commutes with
-//     double rounding (pure exponent shift);
-//   - each positive level's code has the level's parity, so "even code" is
-//     "even level" (this also forces level 1's code odd, making the
-//     underflow tie at pitch/2 round to zero — RNE's choice);
-//   - magnitudes below pitch/2 round to zero (underflows_to_zero), and the
-//     zero code decodes to +0.0 so the zero level's output matches exactly.
-// INT8 passes; MERSIT/posit/FP8 grids are non-uniform and fall out at the
-// contiguity check.
-struct UniformGrid {
-  bool usable = false;
-  double pitch = 0.0;
-  int qmax = 0;
-};
-
-UniformGrid detect_uniform_grid(const Format& fmt) {
-  UniformGrid g;
-  if (!fmt.underflows_to_zero()) return g;
-  const formats::TableCodec& codec = fmt.codec();
-  if (std::bit_cast<std::uint64_t>(codec.decode(codec.zero_code())) != 0)
-    return g;
-  const std::vector<formats::TableCodec::Entry>& pos = codec.positives();
-  if (pos.empty() || pos.size() > 127) return g;  // levels must fit int8
-  const double s = pos.front().value;
-  int exp = 0;
-  if (std::frexp(s, &exp) != 0.5) return g;  // power-of-two pitch only
-  for (std::size_t i = 0; i < pos.size(); ++i) {
-    if (pos[i].value != s * static_cast<double>(i + 1)) return g;
-    if ((pos[i].code & 1u) != ((i + 1) & 1u)) return g;
-  }
-  g.usable = true;
-  g.pitch = s;
-  g.qmax = static_cast<int>(pos.size());
-  return g;
-}
-
-}  // namespace
-
 FakeQuantizer::FakeQuantizer(const CalibrationTable& table, const Format& fmt,
-                             ScalePolicy policy)
-    : table_(table), fmt_(fmt), policy_(policy) {
-  const UniformGrid g = detect_uniform_grid(fmt);
-  grid_usable_ = g.usable;
-  grid_pitch_ = g.pitch;
-  grid_qmax_ = g.qmax;
-}
-
-void FakeQuantizer::fake_quantize_grid(std::span<float> x,
-                                       double scale) const {
-  // Per-level outputs: float((pitch·l)·scale).  pitch·l is exact (power-of-
-  // two pitch, |l| <= 127) and equals the codec's stored value for level l,
-  // so this is the same double product + float cast the codec kernel
-  // evaluates per element — computed once per level instead.
-  const int qmax = grid_qmax_;
-  float out[255];
-  for (int l = -qmax; l <= qmax; ++l)
-    out[l + qmax] =
-        static_cast<float>((grid_pitch_ * static_cast<double>(l)) * scale);
-  // (1/scale)/pitch is exact (exponent shift), so the single fused product
-  // x·inv_lvl rounds to the same double as the kernel's x·(1/scale) scaled
-  // down by the pitch — the rounding decision, ties included, is identical.
-  const double inv_lvl = (1.0 / scale) / grid_pitch_;
-  constexpr std::size_t kChunk = 4096;
-  std::int8_t lv[kChunk];
-  for (std::size_t i = 0; i < x.size(); i += kChunk) {
-    const std::size_t c = std::min(kChunk, x.size() - i);
-    nn::gemm::quantize_levels(x.data() + i, c, inv_lvl, -qmax, qmax, lv);
-    for (std::size_t j = 0; j < c; ++j)
-      x[i + j] = out[lv[j] + qmax];
-  }
+                             ScalePolicy policy) {
+  const auto kernel = formats::kernels::kernel_for(fmt);
+  const auto stage_for = [&](float absmax) -> Stage {
+    if (absmax <= 0.f) return nullptr;
+    return std::make_unique<const formats::kernels::QuantStage>(
+        *kernel, formats::scale_for_absmax(fmt, absmax, policy));
+  };
+  stages_.reserve(table.absmax.size());
+  for (const auto& [path, absmax] : table.absmax)
+    stages_.emplace(path, stage_for(absmax));
+  input_stage_ = stage_for(table.input_absmax);
 }
 
 void FakeQuantizer::on_activation(const Module& layer, Tensor& t) {
   const std::string& path = layer.path();
-  const auto it = table_.absmax.find(path);
-  if (path.empty() || it == table_.absmax.end()) {
+  const auto it = stages_.find(path);
+  if (path.empty() || it == stages_.end()) {
     ++uncalibrated_;
     const std::lock_guard<std::mutex> lock(miss_mu_);
     missed_.insert(path.empty() ? "<unpathed " + layer.name() + ">" : path);
     return;
   }
-  if (it->second <= 0.f) return;  // degenerate (all-zero) layer output
-  const double scale = formats::scale_for_absmax(fmt_, it->second, policy_);
-  if (grid_usable_)
-    fake_quantize_grid(t.data(), scale);
-  else
-    formats::fake_quantize(t.data(), fmt_, scale);
+  const Stage& stage = it->second;
+  if (stage == nullptr) return;  // degenerate (all-zero) layer output
+  stage->apply(t.data());
   // Every element is now code_value * scale for some 8-bit code; stamp the
   // scale so the Kulisch GEMM mode can recover the codes by re-encoding.
-  t.set_quant_scale(scale);
+  t.set_quant_scale(stage->scale());
 }
 
 std::set<std::string> FakeQuantizer::uncalibrated_paths() const {
@@ -156,14 +84,9 @@ std::set<std::string> FakeQuantizer::uncalibrated_paths() const {
 }
 
 void FakeQuantizer::quantize_input(Tensor& t) const {
-  if (table_.input_absmax <= 0.f) return;
-  const double scale =
-      formats::scale_for_absmax(fmt_, table_.input_absmax, policy_);
-  if (grid_usable_)
-    fake_quantize_grid(t.data(), scale);
-  else
-    formats::fake_quantize(t.data(), fmt_, scale);
-  t.set_quant_scale(scale);
+  if (input_stage_ == nullptr) return;
+  input_stage_->apply(t.data());
+  t.set_quant_scale(input_stage_->scale());
 }
 
 // ---------------------------------------------------------------- weights --

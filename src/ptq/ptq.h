@@ -18,11 +18,13 @@
 #include <atomic>
 #include <iosfwd>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
-#include <span>
 #include <string>
+#include <unordered_map>
 
+#include "formats/kernels/quant_stage.h"
 #include "formats/quantize.h"
 #include "nn/models.h"
 #include "nn/train.h"
@@ -72,12 +74,16 @@ class MaxCalibrator final : public nn::QuantSession {
 
 /// Fake-quantizes every activation with the calibrated per-layer scales.
 ///
-/// Concurrency: after construction the quantizer only reads the calibration
-/// table and the shared format kernel, and each evaluation thread hands it a
-/// distinct activation tensor — so it declares concurrent_safe() and the
-/// evaluators fan test batches out across the thread pool.  (The
-/// uncalibrated-path set is mutex-guarded; it is touched only on the miss
-/// path, which a correct pipeline never hits.)
+/// Construction builds one formats::kernels::QuantStage per calibrated path
+/// and one for the input (bit-identical to fake_quantize_scalar at that
+/// path's scale, for every format); on_activation is one path lookup and
+/// one stage call.  The table and format are not referenced afterwards.
+///
+/// Concurrency: the stages are immutable and each evaluation thread hands
+/// the quantizer a distinct activation tensor, so it declares
+/// concurrent_safe() and the evaluators fan test batches out across the
+/// thread pool.  (The uncalibrated-path set is mutex-guarded; it is touched
+/// only on the miss path, which a correct pipeline never hits.)
 class FakeQuantizer final : public nn::QuantSession {
  public:
   FakeQuantizer(const CalibrationTable& table, const formats::Format& fmt,
@@ -101,24 +107,13 @@ class FakeQuantizer final : public nn::QuantSession {
   /// The distinct paths (or "<unpathed TypeName>") of those layers.
   [[nodiscard]] std::set<std::string> uncalibrated_paths() const;
 
-  /// True when the format's value set is a uniform grid the SIMD level
-  /// quantizer reproduces bit-for-bit, so fake quantization takes the fast
-  /// path (see fake_quantize_grid in ptq.cpp).  INT8 qualifies; MERSIT /
-  /// posit / FP8 grids are non-uniform and ride the codec kernel.
-  [[nodiscard]] bool uniform_grid_fast_path() const { return grid_usable_; }
-
  private:
-  void fake_quantize_grid(std::span<float> x, double scale) const;
+  /// Null for a quant point whose calibrated |max| is <= 0 (an all-zero
+  /// output): it passes through untouched and unstamped.
+  using Stage = std::unique_ptr<const formats::kernels::QuantStage>;
 
-  const CalibrationTable& table_;
-  const formats::Format& fmt_;
-  formats::ScalePolicy policy_;
-  // Uniform-grid fast path: values are ±pitch·{0..qmax} with pitch = 2^e and
-  // code parity == level parity (the tie conditions; derivation at the
-  // detector in ptq.cpp).
-  bool grid_usable_ = false;
-  double grid_pitch_ = 0.0;
-  int grid_qmax_ = 0;
+  std::unordered_map<std::string, Stage> stages_;
+  Stage input_stage_;
   bool quantize_inputs_ = false;
   std::atomic<int> uncalibrated_ = 0;
   mutable std::mutex miss_mu_;

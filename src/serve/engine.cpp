@@ -44,12 +44,10 @@ EngineOptions EngineOptions::from_env() {
 
 // ------------------------------------------------------- internal structs --
 
-/// One installed artifact generation.  Immutable once built and heap-pinned
-/// behind a shared_ptr: the FakeQuantizer holds references into `table` and
-/// `*fmt`, so the struct must never move after construction.
+/// One installed artifact generation, immutable once built.  The
+/// FakeQuantizer owns its quant stages, and one generation is shared by
+/// every replica (it is concurrent_safe).
 struct Engine::ArtifactState {
-  std::shared_ptr<const formats::Format> fmt;
-  ptq::CalibrationTable table;
   std::unique_ptr<ptq::FakeQuantizer> fq;
   std::uint64_t seq = 0;
 };
@@ -380,6 +378,11 @@ void Engine::swap_artifacts(const std::string& name, std::istream& mct1,
     const bool code_mode =
         nn::gemm::qgemm_mode() != nn::gemm::QgemmMode::kFloat;
     const std::uint64_t seq = m.seq.load(std::memory_order_relaxed) + 1;
+    auto state = std::make_shared<ArtifactState>();
+    state->fq = std::make_unique<ptq::FakeQuantizer>(pair.table, *fmt,
+                                                     m.cfg.policy);
+    state->fq->set_input_quantization(m.cfg.quantize_input);
+    state->seq = seq;
     m.pool.for_each_exclusive([&](nn::Module& module, int idx) {
       ptq::validate_table_coverage(module, pair.table);
       if (code_mode) {
@@ -393,14 +396,7 @@ void Engine::swap_artifacts(const std::string& name, std::istream& mct1,
         ptq::clear_weight_codes(module);  // drop any previous generation's codes
         ptq::unpack_weights(module, pair.weights, *fmt, opt_.corruption_policy);
       }
-      auto state = std::make_shared<ArtifactState>();
-      state->fmt = fmt;
-      state->table = pair.table;
-      state->fq = std::make_unique<ptq::FakeQuantizer>(state->table, *state->fmt,
-                                                       m.cfg.policy);
-      state->fq->set_input_quantization(m.cfg.quantize_input);
-      state->seq = seq;
-      m.states[static_cast<std::size_t>(idx)] = std::move(state);
+      m.states[static_cast<std::size_t>(idx)] = state;
     });
     m.seq.store(seq, std::memory_order_release);
     swaps_.fetch_add(1, std::memory_order_relaxed);

@@ -1,7 +1,12 @@
-// Exhaustive sweep: every one of the 2^32 float bit patterns through every
-// fake-quantize variant this host can execute, for MERSIT(8,2) at scale 1
-// (a power of two, so every midpoint a float can hold is an exact tie),
-// bit-compared against the Format::quantize reference.
+// Exhaustive sweeps: every one of the 2^32 float bit patterns, bit-compared
+// against the Format::quantize reference (fake_quantize_scalar), through
+//  * every fake-quantize variant of the LUT kernel this host can execute,
+//    for MERSIT(8,2) at scale 1 (a power of two, so every midpoint a float
+//    can hold is an exact tie);
+//  * every quant-stage variant this host can execute, for MERSIT(8,2),
+//    INT8 and Posit(8,1) (which clamps small magnitudes up instead of
+//    underflowing) at non-power-of-two scales, where the thresholds sit
+//    between floats and the guess-and-step build has to find them.
 //
 // Calling the reference 2^32 times would take minutes, so it is evaluated
 // once per output step instead.  Over each sign half of the float line the
@@ -19,6 +24,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <mutex>
 #include <random>
 #include <sstream>
@@ -29,16 +35,16 @@
 #include "core/thread_pool.h"
 #include "formats/kernels/kernel_cache.h"
 #include "formats/kernels/quant_kernel.h"
+#include "formats/kernels/quant_stage.h"
 #include "formats/quantize.h"
 
 namespace mersit::formats::kernels {
 namespace {
 
-constexpr double kScale = 1.0;
-
-std::uint32_t reference_bits(const Format& fmt, std::uint32_t bits) {
+std::uint32_t reference_bits(const Format& fmt, double scale,
+                             std::uint32_t bits) {
   float v = std::bit_cast<float>(bits);
-  fake_quantize_scalar(std::span<float>(&v, 1), fmt, kScale);
+  fake_quantize_scalar(std::span<float>(&v, 1), fmt, scale);
   return std::bit_cast<std::uint32_t>(v);
 }
 
@@ -50,18 +56,18 @@ struct Step {
 
 /// Steps of the reference over the pattern range [lo, hi], on which the
 /// reference is monotone in the input value.
-std::vector<Step> reference_steps(const Format& fmt, std::uint64_t lo,
-                                  std::uint64_t hi) {
+std::vector<Step> reference_steps(const Format& fmt, double scale,
+                                  std::uint64_t lo, std::uint64_t hi) {
   std::vector<Step> steps;
   std::uint64_t cur = lo;
   while (cur <= hi) {
     const std::uint32_t out =
-        reference_bits(fmt, static_cast<std::uint32_t>(cur));
+        reference_bits(fmt, scale, static_cast<std::uint32_t>(cur));
     // Largest b in [cur, hi] with the same output.
     std::uint64_t a = cur, b = hi;
     while (a < b) {
       const std::uint64_t m = a + (b - a + 1) / 2;
-      if (reference_bits(fmt, static_cast<std::uint32_t>(m)) == out)
+      if (reference_bits(fmt, scale, static_cast<std::uint32_t>(m)) == out)
         a = m;
       else
         b = m - 1;
@@ -72,10 +78,16 @@ std::vector<Step> reference_steps(const Format& fmt, std::uint64_t lo,
   return steps;
 }
 
-TEST(KernelSweep, AllFloatBitPatternsMersit82EveryVariant) {
-  const auto fmt = core::make_format("MERSIT(8,2)");
-  const auto kernel = kernel_for(*fmt);
+/// One implementation under test: fake-quantizes a block in place.
+struct Runner {
+  std::string name;
+  std::function<void(std::span<float>)> run;
+};
 
+/// Pushes all 2^32 patterns through every runner and expects each output
+/// bit-identical to fake_quantize_scalar(fmt, scale).
+void sweep_all_patterns(const Format& fmt, double scale,
+                        const std::vector<Runner>& runners) {
   // +0 .. +inf, +NaNs, -0 .. -inf, -NaNs.
   std::vector<Step> steps;
   for (const auto& [lo, hi] :
@@ -83,7 +95,7 @@ TEST(KernelSweep, AllFloatBitPatternsMersit82EveryVariant) {
         {0x7f800001u, 0x7fffffffu},
         {0x80000000u, 0xff800000u},
         {0xff800001u, 0xffffffffu}}) {
-    const std::vector<Step> s = reference_steps(*fmt, lo, hi);
+    const std::vector<Step> s = reference_steps(fmt, scale, lo, hi);
     steps.insert(steps.end(), s.begin(), s.end());
   }
   ASSERT_GT(steps.size(), 250u);  // every code of both signs shows up
@@ -98,21 +110,17 @@ TEST(KernelSweep, AllFloatBitPatternsMersit82EveryVariant) {
   std::mt19937 rng(41);
   for (int i = 0; i < 200000; ++i) {
     const std::uint32_t b = rng();
-    ASSERT_EQ(expected(b), reference_bits(*fmt, b))
+    ASSERT_EQ(expected(b), reference_bits(fmt, scale, b))
         << "reference not monotone near 0x" << std::hex << b;
   }
 
-  std::vector<const FakeQuantVariant*> variants;
-  for (const FakeQuantVariant& v : fake_quant_variants())
-    if (v.supported()) variants.push_back(&v);
-
   // Blocks fan out over the pool; each block's expected output is built
-  // once and every variant is compared against it.
+  // once and every runner is compared against it.
   constexpr std::uint64_t kBlock = 1u << 16;
   constexpr std::uint64_t kBlocks = (1ull << 32) / kBlock;
-  std::vector<std::atomic<std::uint64_t>> mismatches(variants.size());
+  std::vector<std::atomic<std::uint64_t>> mismatches(runners.size());
   std::mutex mu;
-  std::vector<std::string> first(variants.size());
+  std::vector<std::string> first(runners.size());
   core::global_pool().parallel_chunks(kBlocks, [&](std::size_t begin,
                                                    std::size_t end) {
     std::vector<std::uint32_t> in(kBlock), want(kBlock);
@@ -129,28 +137,68 @@ TEST(KernelSweep, AllFloatBitPatternsMersit82EveryVariant) {
         in[i] = static_cast<std::uint32_t>(bits);
         want[i] = step->out;
       }
-      for (std::size_t vi = 0; vi < variants.size(); ++vi) {
+      for (std::size_t ri = 0; ri < runners.size(); ++ri) {
         std::memcpy(got.data(), in.data(), kBlock * sizeof(float));
-        kernel->fake_quantize(*variants[vi], got, kScale);
+        runners[ri].run(got);
         if (std::memcmp(got.data(), want.data(), kBlock * sizeof(float)) == 0)
           continue;
         for (std::uint64_t i = 0; i < kBlock; ++i) {
           const std::uint32_t g = std::bit_cast<std::uint32_t>(got[i]);
           if (g == want[i]) continue;
-          if (mismatches[vi].fetch_add(1) == 0) {
+          if (mismatches[ri].fetch_add(1) == 0) {
             std::ostringstream os;
             os << "input 0x" << std::hex << in[i] << " got 0x" << g
                << " want 0x" << want[i];
             const std::lock_guard<std::mutex> lock(mu);
-            first[vi] = os.str();
+            first[ri] = os.str();
           }
         }
       }
     }
   });
-  for (std::size_t vi = 0; vi < variants.size(); ++vi)
-    EXPECT_EQ(mismatches[vi].load(), 0u)
-        << variants[vi]->name << ", first mismatch: " << first[vi];
+  for (std::size_t ri = 0; ri < runners.size(); ++ri)
+    EXPECT_EQ(mismatches[ri].load(), 0u)
+        << runners[ri].name << ", first mismatch: " << first[ri];
+}
+
+TEST(KernelSweep, AllFloatBitPatternsMersit82EveryVariant) {
+  constexpr double kScale = 1.0;
+  const auto fmt = core::make_format("MERSIT(8,2)");
+  const auto kernel = kernel_for(*fmt);
+  std::vector<Runner> runners;
+  for (const FakeQuantVariant& v : fake_quant_variants())
+    if (v.supported())
+      runners.push_back({v.name, [&kernel, &v](std::span<float> b) {
+                           kernel->fake_quantize(v, b, kScale);
+                         }});
+  sweep_all_patterns(*fmt, kScale, runners);
+}
+
+/// Every quant-stage variant of `name` at `scale` over all patterns.
+void sweep_stage(const char* name, double scale) {
+  const auto fmt = core::make_format(name);
+  const QuantStage stage(*kernel_for(*fmt), scale);
+  std::vector<Runner> runners;
+  for (const QuantStageVariant& v : quant_stage_variants())
+    if (v.supported())
+      runners.push_back({std::string("stage ") + v.name,
+                         [&stage, &v](std::span<float> b) {
+                           stage.apply(v, b);
+                         }});
+  sweep_all_patterns(*fmt, scale, runners);
+}
+
+TEST(KernelSweep, StageAllFloatBitPatternsMersit82) {
+  sweep_stage("MERSIT(8,2)", 0.37);
+}
+
+TEST(KernelSweep, StageAllFloatBitPatternsInt8) {
+  // A calibrated |max| of 2.5 under kMaxToUnity: scale 2.5/127.
+  sweep_stage("INT8", 2.5 / 127.0);
+}
+
+TEST(KernelSweep, StageAllFloatBitPatternsPosit81) {
+  sweep_stage("Posit(8,1)", 3.3);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Exhaustive bit-for-bit equivalence of the LUT batch kernels against the
+// Exhaustive bit-for-bit equivalence of the LUT batch kernels and the
+// fixed-scale quant stages against the
 // scalar reference path (Format::encode / Format::quantize /
 // fake_quantize_scalar), for every registered format.  The probe set leans
 // on the adversarial corners: exact decoded values, exact rounding midpoints
@@ -7,7 +8,10 @@
 // plus a large random sweep.  The KernelVariants tests then hold every
 // fake-quantize variant this host can execute (not just the dispatched one)
 // to the same reference, element for element, including the tails and
-// unaligned starts the vector loops hand to their scalar remainder.
+// unaligned starts the vector loops hand to their scalar remainder.  The
+// StageVariants tests do the same for every quant-stage variant, at the
+// power-of-two scales (every midpoint a float can hold is an exact tie) and
+// at non-power-of-two ones.
 #include "formats/kernels/quant_kernel.h"
 
 #include <gtest/gtest.h>
@@ -17,11 +21,13 @@
 #include <cstring>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "core/registry.h"
 #include "formats/kernels/kernel_cache.h"
+#include "formats/kernels/quant_stage.h"
 #include "formats/quantize.h"
 
 namespace mersit::formats::kernels {
@@ -333,6 +339,189 @@ TEST(KernelVariants, TailsAndUnalignedStartsMatchReference) {
             fake_quantize_scalar(want, *fmt, scale);
             kernel->fake_quantize(*v, std::span<float>(buf.data() + off, len),
                                   scale);
+            for (std::size_t i = 0; i < buf.size(); ++i) {
+              const bool inside = i >= off && i < off + len;
+              const float expect = inside ? want[i - off] : sentinel;
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(buf[i]),
+                        std::bit_cast<std::uint32_t>(expect))
+                  << v->name << " " << name << " len=" << len
+                  << " off=" << off << " at=" << at << " i=" << i
+                  << (inside ? "" : " (outside the span: must be untouched)");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// ------------------------------------------------------ quant stages --
+
+/// The kernel tests' scales plus non-power-of-two ones.
+const std::vector<double> kStageScales = {1.0, 0.25, 7.5, 1e-3, 64.0, 0.37,
+                                          3.3, 1.0 / 127.0};
+
+std::vector<const QuantStageVariant*> runnable_stage_variants() {
+  std::vector<const QuantStageVariant*> out;
+  for (const QuantStageVariant& v : quant_stage_variants())
+    if (v.supported()) out.push_back(&v);
+  return out;
+}
+
+/// Runs `v` over `in` on a stage of `fmt` at `scale` and expects every
+/// output float bit-identical to fake_quantize_scalar.
+void expect_stage_matches_reference(const QuantStageVariant& v,
+                                    const Format& fmt,
+                                    const std::vector<float>& in,
+                                    double scale) {
+  const QuantStage stage(*kernel_for(fmt), scale);
+  std::vector<float> got = in;
+  std::vector<float> want = in;
+  stage.apply(v, got);
+  fake_quantize_scalar(want, fmt, scale);
+  int reported = 0;
+  for (std::size_t i = 0; i < in.size() && reported < 8; ++i) {
+    if (std::bit_cast<std::uint32_t>(got[i]) ==
+        std::bit_cast<std::uint32_t>(want[i]))
+      continue;
+    ++reported;
+    ADD_FAILURE() << "stage " << v.name << " " << fmt.name()
+                  << " scale=" << scale << " in=" << std::hexfloat << in[i]
+                  << " (0x" << std::hex << std::bit_cast<std::uint32_t>(in[i])
+                  << ") got 0x" << std::bit_cast<std::uint32_t>(got[i])
+                  << " want 0x" << std::bit_cast<std::uint32_t>(want[i]);
+  }
+}
+
+TEST(StageVariants, ScalarIsLastAndDispatchPicksFirstSupported) {
+  const std::span<const QuantStageVariant> all = quant_stage_variants();
+  ASSERT_FALSE(all.empty());
+  EXPECT_STREQ(all.back().name, "scalar");
+  EXPECT_TRUE(all.back().supported());
+  EXPECT_EQ(&active_quant_stage_variant(), runnable_stage_variants().front());
+}
+
+// The tree is a binary search tree over the sorted thresholds: an in-order
+// walk reads them ascending, the reachable ones first and the NaN tail
+// last, and the root splits them in half.
+TEST(StageVariants, TreeInOrderIsSortedThresholds) {
+  for (const auto& name : core::all_format_names()) {
+    const auto fmt = core::make_format(name);
+    const QuantStage stage(*kernel_for(*fmt), 0.37);
+    const StageTables& t = stage.tables();
+    std::vector<float> in_order;
+    const auto walk = [&](auto&& self, std::size_t node) -> void {
+      if (node >= 128) return;
+      self(self, 2 * node);
+      in_order.push_back(t.tree[node]);
+      self(self, 2 * node + 1);
+    };
+    walk(walk, 1);
+    ASSERT_EQ(in_order.size(), 127u);
+    EXPECT_EQ(std::bit_cast<std::uint32_t>(t.tree[1]),
+              std::bit_cast<std::uint32_t>(in_order[63]));
+    const std::size_t n = fmt->codec().positives().size();
+    for (std::size_t j = 0; j < 127; ++j) {
+      if (j >= n) {
+        EXPECT_TRUE(std::isnan(in_order[j])) << name << " j=" << j;
+        continue;
+      }
+      EXPECT_GT(in_order[j], 0.f) << name << " j=" << j;
+      if (j > 0) {
+        EXPECT_GE(in_order[j], in_order[j - 1]) << name << " j=" << j;
+      }
+    }
+  }
+}
+
+TEST(StageVariants, AllDecodedValuesMatchReference) {
+  for (const auto& name : core::all_format_names()) {
+    const auto fmt = core::make_format(name);
+    for (const double scale : kStageScales) {
+      std::vector<float> in;
+      for (int c = 0; c < 256; ++c)
+        in.push_back(static_cast<float>(
+            fmt->codec().decode(static_cast<std::uint8_t>(c)) * scale));
+      for (const QuantStageVariant* v : runnable_stage_variants())
+        expect_stage_matches_reference(*v, *fmt, in, scale);
+    }
+  }
+}
+
+TEST(StageVariants, EveryBoundaryPlusMinus16UlpMatchesReference) {
+  for (const auto& name : core::all_format_names()) {
+    const auto fmt = core::make_format(name);
+    const auto& pos = fmt->codec().positives();
+    for (const double scale : kStageScales) {
+      std::vector<float> in;
+      push_signed_ulps(in, static_cast<float>(pos.front().value * 0.5 * scale));
+      for (std::size_t i = 1; i < pos.size(); ++i)
+        push_signed_ulps(
+            in, static_cast<float>(0.5 * (pos[i - 1].value + pos[i].value) *
+                                   scale));
+      for (const QuantStageVariant* v : runnable_stage_variants())
+        expect_stage_matches_reference(*v, *fmt, in, scale);
+    }
+  }
+}
+
+TEST(StageVariants, SpecialAndRandomValuesMatchReference) {
+  for (const auto& name : core::all_format_names()) {
+    const auto fmt = core::make_format(name);
+    for (const double scale : kStageScales) {
+      std::vector<float> in = special_floats(*fmt, scale);
+      const std::vector<float> random = float_probes(*fmt, scale);
+      in.insert(in.end(), random.begin(), random.end());
+      for (const QuantStageVariant* v : runnable_stage_variants())
+        expect_stage_matches_reference(*v, *fmt, in, scale);
+    }
+  }
+}
+
+// Scales no calibration produces on finite data, but a NaN or infinite
+// |max| would: the stage still reproduces the reference (NaN everywhere, or
+// every magnitude on one slot).
+TEST(StageVariants, DegenerateScalesMatchReference) {
+  using lim = std::numeric_limits<double>;
+  for (const char* name : {"MERSIT(8,2)", "INT8", "Posit(8,1)", "FP(8,4)"}) {
+    const auto fmt = core::make_format(name);
+    for (const double scale : {lim::infinity(), lim::quiet_NaN(), 0.0,
+                               lim::denorm_min(), 1e300, 1e-300}) {
+      const std::vector<float> in = special_floats(*fmt, 1.0);
+      for (const QuantStageVariant* v : runnable_stage_variants())
+        expect_stage_matches_reference(*v, *fmt, in, scale);
+    }
+  }
+  const auto fmt = core::make_format("MERSIT(8,2)");
+  EXPECT_THROW(QuantStage(*kernel_for(*fmt), -1.0), std::invalid_argument);
+  EXPECT_THROW(QuantStage(*kernel_for(*fmt), -0.0), std::invalid_argument);
+}
+
+TEST(StageVariants, TailsAndUnalignedStartsMatchReference) {
+  constexpr std::size_t kMaxLen = 33;  // two AVX-512 blocks and a tail
+  constexpr std::size_t kMaxOffset = 15;
+  const float sentinel = std::bit_cast<float>(0x7fc0beefu);
+  for (const auto& name : core::all_format_names()) {
+    const auto fmt = core::make_format(name);
+    const double scale = 0.37;
+    const QuantStage stage(*kernel_for(*fmt), scale);
+    std::vector<float> probes = special_floats(*fmt, scale);
+    const std::vector<float> random = float_probes(*fmt, scale);
+    probes.insert(probes.end(), random.begin(), random.begin() + 200);
+    for (const QuantStageVariant* v : runnable_stage_variants()) {
+      for (std::size_t len = 0; len <= kMaxLen; ++len) {
+        for (std::size_t off = 0; off <= kMaxOffset; off += 3) {
+          for (std::size_t at = 0; at + len <= probes.size(); at += 53) {
+            // [sentinel x off][len inputs][sentinel x 16]
+            const auto first =
+                probes.begin() + static_cast<std::ptrdiff_t>(at);
+            std::vector<float> buf(off + len + 16, sentinel);
+            std::copy_n(first, len,
+                        buf.begin() + static_cast<std::ptrdiff_t>(off));
+            std::vector<float> want(first,
+                                    first + static_cast<std::ptrdiff_t>(len));
+            fake_quantize_scalar(want, *fmt, scale);
+            stage.apply(*v, std::span<float>(buf.data() + off, len));
             for (std::size_t i = 0; i < buf.size(); ++i) {
               const bool inside = i >= off && i < off + len;
               const float expect = inside ? want[i - off] : sentinel;

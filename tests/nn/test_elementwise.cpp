@@ -6,6 +6,8 @@
 //    affine, at every length 0-67 (all vector tails), in place and out of
 //    place — bitwise for every non-NaN result, NaN for NaN (a NaN's payload
 //    bits may differ between lane widths).
+//  * The per-row-affine form (Backend::elementwise_rows) is bitwise one
+//    affine elementwise call per row.
 //  * Non-finite SiLU results stay pinned to the libm formula the repo used
 //    before the in-repo exp: x * (1/(1 + std::exp(-x))).
 //  * exp_eval stays within 1 ULP of std::exp on a sampled sweep of every
@@ -125,6 +127,67 @@ TEST(Elementwise, EveryBackendMatchesScalarEpilogueEval) {
     for (std::size_t i = 0; i < pool.size(); ++i)
       ASSERT_TRUE(same_value(dst[i],
                              gemm::epilogue_eval(Epilogue::kSiLU, pool[i])));
+  }
+}
+
+// The per-row-affine form must be bitwise one affine elementwise call per
+// row, on every backend, for every epilogue, at every row length (vector
+// tails included), in place and out of place.
+TEST(Elementwise, RowsFormMatchesOneCallPerRow) {
+  const std::vector<float> pool = edge_inputs(4096, 37);
+  const std::vector<float> params = edge_inputs(64, 41);
+  constexpr float kGuard = -12345.f;
+  for (const gemm::Backend* be : gemm::backends()) {
+    if (!be->supported()) continue;
+    for (const Epilogue e : kAllEpilogues) {
+      for (const std::size_t rows : {0u, 1u, 3u, 7u}) {
+        for (std::size_t len = 0; len <= 37; ++len) {
+          const std::size_t n = rows * len;
+          const std::size_t off = (len * 13 + rows) % (pool.size() - n);
+          const float* src = pool.data() + off;
+          // Per-row scale/shift drawn from the edge values (zeros, signed
+          // zeros, infinities and NaN included).
+          std::vector<float> scale(rows), shift(rows);
+          for (std::size_t r = 0; r < rows; ++r) {
+            scale[r] = params[(r * 5 + len) % params.size()];
+            shift[r] = params[(r * 11 + len + 3) % params.size()];
+          }
+          std::vector<float> want(n);
+          for (std::size_t r = 0; r < rows; ++r) {
+            const gemm::ScalarAffine aff{scale[r], shift[r]};
+            be->elementwise(e, src + r * len, want.data() + r * len, len, &aff);
+          }
+          std::vector<float> out(n + 2, kGuard);
+          be->elementwise_rows(e, src, out.data() + 1, rows, len, scale.data(),
+                               shift.data());
+          EXPECT_EQ(out.front(), kGuard);
+          EXPECT_EQ(out.back(), kGuard);
+          std::vector<float> inplace(src, src + n);
+          be->elementwise_rows(e, inplace.data(), inplace.data(), rows, len,
+                               scale.data(), shift.data());
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(out[i + 1]),
+                      std::bit_cast<std::uint32_t>(want[i]))
+                << be->name << " epi=" << static_cast<int>(e)
+                << " rows=" << rows << " len=" << len << " i=" << i;
+            ASSERT_EQ(std::bit_cast<std::uint32_t>(inplace[i]),
+                      std::bit_cast<std::uint32_t>(want[i]))
+                << be->name << " in place, epi=" << static_cast<int>(e)
+                << " rows=" << rows << " len=" << len << " i=" << i;
+          }
+        }
+      }
+    }
+    // The public entry dispatches to the active backend.
+    const BackendGuard g(*be);
+    const float scale[2] = {0.5f, -3.f}, shift[2] = {1.f, 0.25f};
+    std::vector<float> dst(18);
+    gemm::epilogue_apply_rows(Epilogue::kReLU, pool.data(), dst.data(), 2, 9,
+                              scale, shift);
+    for (std::size_t i = 0; i < dst.size(); ++i)
+      ASSERT_TRUE(same_value(
+          dst[i], gemm::epilogue_eval(Epilogue::kReLU,
+                                      scale[i / 9] * pool[i] + shift[i / 9])));
   }
 }
 

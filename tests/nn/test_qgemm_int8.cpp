@@ -270,66 +270,6 @@ TEST(Int8Levels, EveryBackendQuantizerMatchesScalarReference) {
   }
 }
 
-// FakeQuantizer's uniform-grid fast path (SIMD level quantize + per-level
-// output table) must be bit-identical to the per-element codec reference
-// for every format it engages on — crafted rounding ties, non-finite
-// values, signed zeros, denormals, and saturating magnitudes included —
-// and must not engage for the non-uniform grids.
-TEST(Int8Levels, FakeQuantizerGridPathBitIdenticalToScalarReference) {
-  for (const std::string& name : core::all_format_names()) {
-    SCOPED_TRACE(name);
-    const auto fmt = core::make_format(name);
-    ptq::CalibrationTable table;
-    // calibration_target absmax under kMaxToUnity gives scale exactly 1, so
-    // the tie probes below land exactly on the grid midpoints.
-    table.input_absmax = static_cast<float>(fmt->calibration_target());
-    const ptq::FakeQuantizer fq(table, *fmt,
-                                formats::ScalePolicy::kMaxToUnity);
-    const auto lut = decode_lut(*fmt);
-    const gemm::AffineLut alut = gemm::build_affine_lut(lut.data());
-    if (!alut.usable) {
-      EXPECT_FALSE(fq.uniform_grid_fast_path());
-      continue;
-    }
-    ASSERT_TRUE(fq.uniform_grid_fast_path());
-    const double pitch = alut.scale;
-    std::vector<float> vals;
-    for (int l = alut.qmin; l <= alut.qmax; ++l) {
-      vals.push_back(static_cast<float>(pitch * l));  // exact grid points
-      vals.push_back(
-          static_cast<float>(pitch * (l + 0.5)));  // exact RNE tie points
-      vals.push_back(static_cast<float>(pitch * (l + 0.25)));
-    }
-    vals.insert(vals.end(),
-                {0.f, -0.f, std::numeric_limits<float>::quiet_NaN(),
-                 std::numeric_limits<float>::infinity(),
-                 -std::numeric_limits<float>::infinity(),
-                 std::numeric_limits<float>::denorm_min(), -1e-42f, 1e30f,
-                 -1e30f, std::numeric_limits<float>::max()});
-    std::mt19937 rng(5);
-    std::uniform_real_distribution<float> ud(
-        -2.f * static_cast<float>(pitch * alut.qmax),
-        2.f * static_cast<float>(pitch * alut.qmax));
-    for (int i = 0; i < 4096; ++i) vals.push_back(ud(rng));
-
-    Tensor t({1, static_cast<int>(vals.size())});
-    std::vector<float> ref = vals;
-    for (std::size_t i = 0; i < vals.size(); ++i) t[i] = vals[i];
-    fq.quantize_input(t);  // grid fast path (scale = 1 here)
-    const double scale = formats::scale_for_absmax(
-        *fmt, table.input_absmax, formats::ScalePolicy::kMaxToUnity);
-    formats::fake_quantize_scalar(ref, *fmt, scale);
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-      std::uint32_t got = 0, want = 0;
-      const float gf = t[i], wf = ref[i];
-      std::memcpy(&got, &gf, 4);
-      std::memcpy(&want, &wf, 4);
-      EXPECT_EQ(got, want) << "elem " << i << " in " << vals[i] << " got "
-                           << gf << " want " << wf;
-    }
-  }
-}
-
 // ------------------------------------------------ per-backend kernel gates --
 
 /// Naive integer reference of the documented contract: exact int32 level

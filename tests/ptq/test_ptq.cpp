@@ -2,8 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+#include <random>
+#include <vector>
+
 #include "core/registry.h"
+#include "formats/quantize.h"
 #include "nn/data.h"
+#include "nn/layers.h"
 
 namespace mersit::ptq {
 namespace {
@@ -131,6 +140,78 @@ TEST(Ptq, QuantizerLeavesUncalibratedZero) {
   const nn::Context qctx{false, &fq};
   (void)f.model->run(nn::slice_batch(f.test.inputs, 0, 16), qctx);
   EXPECT_EQ(fq.uncalibrated_layers(), 0);
+}
+
+// FakeQuantizer's quant stages (one per calibrated path, one for the input)
+// must be bit-identical to the per-element codec reference for every
+// registered format — exact values, exact rounding ties, quarter points,
+// non-finite values, signed zeros, denormals and saturating magnitudes — at
+// scale 1 (where every midpoint is an exact tie) and at non-power-of-two
+// scales, through both quantize_input and on_activation.
+TEST(FakeQuantizerStages, BitIdenticalToScalarReferenceEveryFormat) {
+  using lim = std::numeric_limits<float>;
+  for (const std::string& name : core::all_format_names()) {
+    SCOPED_TRACE(name);
+    const auto fmt = core::make_format(name);
+    const double target = fmt->calibration_target();
+    // absmax = target·s gives scale s under kMaxToUnity (s = 1 exactly).
+    for (const double s : {1.0, 0.37, 3.3, 1.7e-3, 1234.5}) {
+      SCOPED_TRACE(s);
+      CalibrationTable table;
+      table.input_absmax = static_cast<float>(target * s);
+      table.absmax["act"] = table.input_absmax;
+      table.absmax["zero"] = 0.f;
+      FakeQuantizer fq(table, *fmt, formats::ScalePolicy::kMaxToUnity);
+      const double scale = formats::scale_for_absmax(
+          *fmt, table.input_absmax, formats::ScalePolicy::kMaxToUnity);
+
+      std::vector<float> vals;
+      const auto& pos = fmt->codec().positives();
+      for (std::size_t i = 0; i < pos.size(); ++i) {
+        const double lo = i == 0 ? 0.0 : pos[i - 1].value;
+        for (const double f : {1.0, 0.5, 0.25, 0.75}) {
+          const auto v = static_cast<float>((lo + f * (pos[i].value - lo)) *
+                                            scale);
+          vals.insert(vals.end(), {v, -v, std::nextafter(v, 0.f),
+                                   std::nextafter(v, lim::infinity())});
+        }
+      }
+      vals.insert(vals.end(),
+                  {0.f, -0.f, lim::quiet_NaN(), -lim::quiet_NaN(),
+                   lim::infinity(), -lim::infinity(), lim::denorm_min(),
+                   -lim::denorm_min(), -1e-42f, lim::min(), 1e30f, -1e30f,
+                   lim::max(), -lim::max()});
+      std::mt19937 rng(5);
+      std::normal_distribution<float> normal(0.f, 1.f);
+      for (int i = 0; i < 4096; ++i)
+        vals.push_back(normal(rng) * static_cast<float>(2.0 * target * s));
+
+      std::vector<float> want = vals;
+      formats::fake_quantize_scalar(want, *fmt, scale);
+      const auto n = static_cast<int>(vals.size());
+      Tensor in({1, n}), act({1, n}), zero({1, n});
+      for (int i = 0; i < n; ++i) in[i] = act[i] = zero[i] = vals[i];
+      fq.quantize_input(in);
+      nn::Activation point(nn::Act::kReLU), dead(nn::Act::kReLU);
+      point.set_path("act");
+      dead.set_path("zero");
+      fq.on_activation(point, act);
+      fq.on_activation(dead, zero);
+      EXPECT_EQ(in.quant_scale(), scale);
+      EXPECT_EQ(act.quant_scale(), scale);
+      EXPECT_EQ(zero.quant_scale(), 0.0);
+      for (int i = 0; i < n; ++i) {
+        const auto bits = [](float v) { return std::bit_cast<std::uint32_t>(v); };
+        EXPECT_EQ(bits(in[i]), bits(want[i])) << "input elem " << i << " in "
+                                              << vals[i];
+        EXPECT_EQ(bits(act[i]), bits(want[i])) << "act elem " << i << " in "
+                                               << vals[i];
+        // An all-zero calibrated |max| passes the tensor through untouched.
+        EXPECT_EQ(bits(zero[i]), bits(vals[i]));
+      }
+      EXPECT_EQ(fq.uncalibrated_layers(), 0);
+    }
+  }
 }
 
 TEST(Rmse, MersitComparableToPositAndBelowFp) {
